@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint hygiene bench bench-perf bench-async bench-rob-byz bench-overload bench-mega bench-ingest bench-rob-gate gateway report examples clean
+.PHONY: install test lint hygiene bench bench-perf bench-async bench-rob-byz bench-overload bench-mega bench-ingest bench-rob-gate perfbench gateway report examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -88,6 +88,16 @@ bench-ingest:
 bench-rob-gate:
 	REPRO_ROBGATE_SMOKE=1 $(PYTHON) -m pytest \
 		benchmarks/test_robustness_gateway.py --benchmark-disable -s
+
+# The repo benchmark's three gated workloads (BENCHMARK.json), untraced,
+# 30 s each: run it on two checkouts for a before/after pair.  Pick the
+# seed with `make perfbench PERFBENCH_SEED=101`.
+PERFBENCH_SEED ?= 11
+perfbench:
+	@for workload in mega-clean mega-byzantine gateway-live; do \
+		$(PYTHON) perfbench/run.py --workload $$workload \
+			--seed $(PERFBENCH_SEED) --seconds 30 --trace 0 || exit 1; \
+	done
 
 # Serve a live ingestion gateway on localhost:8765 (Ctrl-C to stop).
 gateway:

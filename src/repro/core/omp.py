@@ -15,7 +15,9 @@ The default ``engine="fast"`` shares CHS's hot-path machinery: a
 persistent boolean mask suppresses re-selection, the per-iteration
 least-squares refit is a rank-1 QR update
 (:class:`repro.core.incremental.IncrementalQR`) instead of a
-from-scratch ``lstsq``, and a GLS covariance is whitened once up front.
+from-scratch ``lstsq``, and a GLS covariance is whitened once up front
+(a per-row variance vector is one row scaling, a full matrix one
+Cholesky), so every refit is least squares on whitened columns.
 ``engine="reference"`` runs the seed implementation
 (:func:`repro.core.reference.omp_reference`), the equivalence oracle.
 """
@@ -28,7 +30,7 @@ import numpy as np
 
 from ..analysis import contracts
 from .incremental import IncrementalQR
-from .least_squares import gls_solve, ols_solve, whiten
+from .least_squares import ols_solve, whiten
 
 __all__ = ["OMPResult", "omp"]
 
@@ -92,9 +94,11 @@ def omp(
     tol:
         Stop early once the residual norm falls below ``tol * ||x_s||``.
     covariance:
-        Optional sensor-noise covariance; when given, the per-iteration
-        refit uses GLS (eq. 12) instead of OLS (eq. 11), matching step
-        3(e)(ii) of Fig. 6.
+        Optional sensor-noise covariance V — a length-M vector of
+        per-row variances (diagonal V) or a full ``(M, M)`` matrix
+        (correlated noise).  When given, the per-iteration refit uses
+        GLS (eq. 12) instead of OLS (eq. 11), matching step 3(e)(ii) of
+        Fig. 6.
     engine:
         ``"fast"`` (default) uses the incremental QR refit;
         ``"reference"`` runs the seed's from-scratch-refit loop.
@@ -128,15 +132,19 @@ def omp(
     col_norms = np.linalg.norm(phi_tilde, axis=0)
     safe_norms = np.where(col_norms > 0, col_norms, 1.0)
 
-    if m * n <= DENSE_CROSSOVER:
-        return _omp_dense(
-            phi_tilde, x_s, sparsity, safe_norms, tol=tol, covariance=covariance
-        )
-
+    # Heterogeneous sensors: whiten once so every eq.-12 GLS refit is
+    # OLS on whitened columns.  Selection still correlates the raw
+    # dictionary with the raw residual.
     if covariance is None:
         dict_fit, x_fit = phi_tilde, x_s
     else:
         dict_fit, x_fit = whiten(phi_tilde, x_s, covariance)
+
+    if m * n <= DENSE_CROSSOVER:
+        return _omp_dense(
+            phi_tilde, x_s, dict_fit, x_fit, sparsity, safe_norms, tol=tol
+        )
+
     refit = IncrementalQR(m, capacity=sparsity)
     residual = x_s.copy()
     target = tol * max(np.linalg.norm(x_s), 1e-300)
@@ -180,24 +188,27 @@ def omp(
 def _omp_dense(
     phi_tilde: np.ndarray,
     x_s: np.ndarray,
+    dict_fit: np.ndarray,
+    x_fit: np.ndarray,
     sparsity: int,
     safe_norms: np.ndarray,
     *,
     tol: float,
-    covariance: np.ndarray | None,
 ) -> OMPResult:
     """Lean small-problem loop: from-scratch refits, no QR bookkeeping.
 
-    Runs the reference algorithm (so it agrees with
-    :func:`repro.core.reference.omp_reference` exactly, not just to the
-    1e-8 oracle tolerance) with two constant-factor trims the reference
-    form deliberately keeps for readability: the selected columns grow
-    in a preallocated buffer instead of being re-gathered with a fancy
-    index each iteration, and re-selection is suppressed with a boolean
-    mask instead of a list-indexed assignment.
+    Runs the reference algorithm (so, unweighted or with a variance
+    vector, it agrees with :func:`repro.core.reference.omp_reference`
+    exactly, not just to the 1e-8 oracle tolerance) with three
+    constant-factor trims: the selected columns grow in preallocated
+    buffers instead of being re-gathered each iteration, re-selection
+    is suppressed with a boolean mask, and the refit reads columns of
+    ``dict_fit``, whitened once by the caller, instead of whitening the
+    support on every iteration.
     """
     m, n = phi_tilde.shape
     sub = np.empty((m, sparsity))
+    sub_fit = sub if dict_fit is phi_tilde else np.empty((m, sparsity))
     residual = x_s.copy()
     target = tol * max(np.linalg.norm(x_s), 1e-300)
     support: list[int] = []
@@ -213,12 +224,12 @@ def _omp_dense(
             break
         support.append(best)
         in_support[best] = True
-        sub[:, len(support) - 1] = phi_tilde[:, best]
-        picked = sub[:, : len(support)]
-        if covariance is None:
-            alpha_sub = ols_solve(picked, x_s)
-        else:
-            alpha_sub = gls_solve(picked, x_s, covariance)
+        k = len(support)
+        sub[:, k - 1] = phi_tilde[:, best]
+        if sub_fit is not sub:
+            sub_fit[:, k - 1] = dict_fit[:, best]
+        picked = sub[:, :k]
+        alpha_sub = ols_solve(sub_fit[:, :k], x_fit)
         if contracts.enabled():
             contracts.check_vector(
                 "alpha_sub", alpha_sub, len(support), context="omp refit"

@@ -104,7 +104,10 @@ def reconstruct(
         Target K.  Defaults to ``max(1, M // 2)``, keeping the refit
         overdetermined as the paper requires.
     covariance:
-        Sensor-noise covariance V for GLS-style refits.
+        Sensor-noise covariance V for GLS-style refits: a length-M
+        vector of per-sensor variances (the paper's diagonal V, and the
+        cheap form — one row scaling per fit) or a full ``(M, M)``
+        matrix for correlated noise.
     noise_budget:
         Per-measurement tolerance for ``l1-noisy``.
     batch_size:
@@ -169,8 +172,9 @@ def reconstruct(
             contracts.check_finite(
                 "covariance", covariance, context="reconstruct"
             )
+            expected = (m,) if np.ndim(covariance) == 1 else (m, m)
             contracts.check_shape(
-                "covariance", covariance, (m, m), context="reconstruct"
+                "covariance", covariance, expected, context="reconstruct"
             )
 
     # Baseline + sparse variation: subtract the sample mean here, solve
@@ -186,10 +190,16 @@ def reconstruct(
         assert dense is not None
         phi_rows = subsample_rows(dense, locations)
 
-    def synthesize(coefficients: np.ndarray) -> np.ndarray:
+    def synthesize(
+        coefficients: np.ndarray, support: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``Phi @ coefficients``; a dense basis reads only the columns
+        in ``support`` when the caller knows every nonzero lies there."""
         if op is not None:
             return op.synthesize(coefficients)
         assert dense is not None
+        if support is not None:
+            return dense[:, support] @ coefficients[support]
         return dense @ coefficients
 
     if solver == "chs":
@@ -215,7 +225,7 @@ def reconstruct(
         )
         coefficients = result.coefficients
         support = result.support
-        x_hat = synthesize(coefficients)
+        x_hat = synthesize(coefficients, support)
     elif solver in ("cosamp", "iht"):
         from .greedy import cosamp as cosamp_solve
         from .greedy import iht as iht_solve
@@ -227,7 +237,7 @@ def reconstruct(
             greedy = iht_solve(phi_rows, values, sparsity=k)
         coefficients = greedy.coefficients
         support = greedy.support
-        x_hat = synthesize(coefficients)
+        x_hat = synthesize(coefficients, support)
     elif solver in ("l1", "l1-noisy"):
         if solver == "l1":
             result = l1_solve(phi_rows, values)

@@ -36,7 +36,9 @@ are then classified against that robust reference:
 Both are deterministic — no RNG anywhere — and solver-agnostic: the
 caller hands in a ``fit(values, locations, covariance)`` closure (the
 broker passes its own prior-centred solve), so trimming composes with
-CHS, OMP, operator bases and shared-basis caching for free.
+CHS, OMP, operator bases and shared-basis caching for free.  The
+closure's ``covariance`` is ``None``, a per-row variance vector (always,
+for Huber's inflated weights) or the caller's full matrix.
 """
 
 from __future__ import annotations
@@ -114,8 +116,11 @@ def robust_scales(
 def _subset_covariance(
     covariance: np.ndarray | None, keep: np.ndarray
 ) -> np.ndarray | None:
+    """The kept rows' covariance: a variance vector or a full matrix."""
     if covariance is None:
         return None
+    if covariance.ndim == 1:
+        return covariance[keep]
     return covariance[np.ix_(keep, keep)]
 
 
@@ -214,11 +219,12 @@ def robust_reconstruct(
         — the underlying solve (e.g. the broker's prior-centred
         :func:`repro.core.reconstruction.reconstruct` call).
     values / locations / covariance:
-        The full measurement set; ``covariance`` (diagonal GLS noise
-        model) is subset along with the rows on refits.
+        The full measurement set; ``covariance`` (the GLS noise model:
+        a length-M vector of per-row variances, or a full ``(M, M)``
+        matrix) is subset along with the rows on refits.
     noise_stds:
         Per-row claimed noise scales used to standardise residuals
-        (defaults to the covariance diagonal's sqrt when omitted).
+        (defaults to the sqrt of the per-row variances when omitted).
     mode:
         ``"trim"`` (hard rejection to a fixed point) or ``"huber"``
         (IRLS soft downweighting).
@@ -256,8 +262,13 @@ def robust_reconstruct(
             contracts.check_finite(
                 "noise_stds", noise_stds, context="robust_reconstruct"
             )
-    if noise_stds is None and covariance is not None:
-        noise_stds = np.sqrt(np.diag(covariance))
+    if covariance is not None:
+        covariance = np.asarray(covariance, dtype=float)
+        if noise_stds is None:
+            variances = (
+                covariance if covariance.ndim == 1 else covariance.diagonal()
+            )
+            noise_stds = np.sqrt(variances)
     if min_keep is None:
         min_keep = max(4, m // 2)
     min_keep = min(min_keep, m)
@@ -373,7 +384,7 @@ def robust_reconstruct(
         rounds += 1
         # Inflate each row's variance by 1/w — Huber's equivalence
         # between downweighting and a heavier claimed noise.
-        inflated = np.diag((scales**2) / np.maximum(weights, 1e-12))
+        inflated = (scales**2) / np.maximum(weights, 1e-12)
         result, x_hat = fit(values, locations, inflated)
         x_irls = x_hat
     return RobustFit(

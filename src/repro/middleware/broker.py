@@ -171,6 +171,7 @@ class _PendingRound:
 
     locations: np.ndarray
     values: np.ndarray
+    # Diagonal GLS V as its per-row variance vector (None = OLS).
     covariance: np.ndarray | None
     noise_stds: list[float]
     k_est: int
@@ -743,7 +744,7 @@ class Broker:
                     dtype=float,
                 )
                 stds = stds / np.sqrt(row_trust)
-            covariance = np.diag(stds**2)
+            covariance = stds**2
 
         # A badly degraded round can realise fewer measurements than the
         # nominal sparsity; a solver can never recover more coefficients

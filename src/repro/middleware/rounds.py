@@ -706,7 +706,10 @@ class ZoneRoundDriver:
             zone_id=self.zone_id,
             result=result,
             started_at=self._started_at,
-            completed_at=now,
+            # Read the clock after the solve: on a WallClock ``now`` was
+            # taken before the (synchronous) solve ran; on a SimClock the
+            # two are the same event time.
+            completed_at=float(self.clock.now),
             index=self.rounds_completed,
             partial=partial,
             wall_s=wall_s,

@@ -49,7 +49,6 @@ from ..core.shardmem import (
 )
 from ..network.bus import MessageBus
 from ..network.frames import decode_zone_report, encode_zone_report
-from ..sensors.noise import covariance_from_stds
 from .population import NodePopulation, PopulationConfig
 
 __all__ = ["MegaConfig", "MegaRoundRecord", "MegaSimulation"]
@@ -135,17 +134,20 @@ def _solve_zone(
     values = np.asarray(values, dtype=float)
     stds = np.maximum(np.asarray(stds, dtype=float), _STD_FLOOR)
 
-    def fit(vals, locs, cov):
+    def fit(vals, locs, variances):
         phi_rows = basis[locs, :]
         k = min(sparsity, phi_rows.shape[0], phi_rows.shape[1])
-        result = omp(phi_rows, vals, k, covariance=cov)
-        return result, basis @ result.coefficients
+        result = omp(phi_rows, vals, k, covariance=variances)
+        support = result.support
+        return result, basis[:, support] @ result.coefficients[support]
 
+    # Diagonal V as its per-row variance vector: each GLS fit whitens
+    # with one row scaling instead of factoring a dense (m, m) matrix.
     robust = robust_reconstruct(
         fit,
         values,
         cells,
-        covariance=covariance_from_stds(stds),
+        covariance=stds**2,
         noise_stds=stds,
         mode="trim",
     )
@@ -230,9 +232,8 @@ class MegaSimulation:
         for zx in range(pcfg.zones_x):
             for zy in range(pcfg.zones_y):
                 support = rng.choice(pool_size, size=k, replace=False)
-                coeffs = np.zeros(cells)
-                coeffs[support] = rng.normal(0.0, 3.0, size=k)
-                block = (self.basis @ coeffs).reshape(zw, zh)
+                amplitudes = rng.normal(0.0, 3.0, size=k)
+                block = (self.basis[:, support] @ amplitudes).reshape(zw, zh)
                 truth[
                     zx * zw : (zx + 1) * zw, zy * zh : (zy + 1) * zh
                 ] = block

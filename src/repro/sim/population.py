@@ -405,7 +405,7 @@ class NodePopulation:
             if fault_injector is not None:
                 for k in range(m):
                     name = self.node_name(int(picked[k]))
-                    if name in fault_injector.faulty_nodes:
+                    if fault_injector.is_faulty(name):
                         values[k], stds[k] = fault_injector.corrupt(
                             name, float(values[k]), float(stds[k]), now
                         )

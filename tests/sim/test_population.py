@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mobility.models import MODE_NAMES
-from repro.sensors.faults import CalibrationBias, SensorFaultInjector, StuckAt
+from repro.sensors.faults import (
+    Adversarial,
+    CalibrationBias,
+    SensorFaultInjector,
+    StuckAt,
+    afflict_fraction,
+)
 from repro.sim.population import NodePopulation, PopulationConfig
 
 
@@ -178,6 +184,71 @@ class TestPopulationBehaviour:
         assert injector.corruptions_by_reason["stuck-at"] == 1
         for a, b in zip(frames_v, frames_o):
             assert np.array_equal(a.values, b.values)
+
+    def test_fault_lookup_keeps_corruption_identical(self):
+        """Sensing asks the injector per report whether a node is
+        afflicted without rebuilding its set of afflicted ids, and the
+        corrupted frames equal an honest round corrupted report by
+        report under the set-membership rule."""
+
+        class CountingInjector(SensorFaultInjector):
+            set_builds = 0
+
+            @property
+            def faulty_nodes(self):
+                CountingInjector.set_builds += 1
+                return super().faulty_nodes
+
+        def population():
+            return NodePopulation(
+                PopulationConfig(
+                    n_nodes=400, width=32, height=16, zones_x=2,
+                    zones_y=2, mobility="static", seed=13,
+                )
+            )
+
+        def afflict(injector, pop):
+            names = [pop.node_name(i) for i in range(pop.n_nodes)]
+            afflict_fraction(
+                injector, names, 0.2,
+                lambda _nid: Adversarial(offset=9.0, claimed_std=0.01),
+                seed=13,
+            )
+
+        faulty, honest = population(), population()
+        injector = CountingInjector()
+        afflict(injector, faulty)
+        truth = np.zeros((32, 16))
+        frames = faulty.sense_round(
+            truth, round_index=0, reports_per_zone=64,
+            fault_injector=injector, now=1.0,
+        )
+        assert CountingInjector.set_builds <= 1  # never once per report
+
+        expected_injector = SensorFaultInjector()
+        afflict(expected_injector, honest)
+        afflicted = expected_injector.faulty_nodes
+        clean = honest.sense_round(
+            truth, round_index=0, reports_per_zone=64, now=1.0
+        )
+        corrupted = 0
+        for got, base in zip(frames, clean, strict=True):
+            assert np.array_equal(got.node_ids, base.node_ids)
+            values = base.values.copy()
+            stds = base.noise_stds.copy()
+            for k, node in enumerate(base.node_ids):
+                name = honest.node_name(int(node))
+                if name in afflicted:
+                    values[k], stds[k] = expected_injector.corrupt(
+                        name, float(values[k]), float(stds[k]), 1.0
+                    )
+                    corrupted += 1
+            assert np.array_equal(got.values, values)
+            assert np.array_equal(got.noise_stds, stds)
+        assert corrupted > 0
+        assert injector.corruptions_by_reason == (
+            expected_injector.corruptions_by_reason
+        )
 
     def test_trust_update_and_quarantine_hysteresis(self):
         pop = NodePopulation(

@@ -11,10 +11,13 @@ The closing test is the acceptance pin of PR 8's realtime story:
 SimClock — completes sensing rounds unmodified on a WallClock.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.fields.generators import smooth_field
+from repro.middleware import rounds
 from repro.middleware.localcloud import LocalCloud
 from repro.middleware.rounds import ZoneRoundDriver
 from repro.network.bus import MessageBus
@@ -124,3 +127,40 @@ class TestZoneRoundDriverOnWallClock:
             estimate = outcome.result.nc_estimates[0]
             assert estimate.reports_ok > 0
             assert np.isfinite(outcome.result.field.grid).all()
+
+    def test_round_latency_includes_the_solve(self, clock, monkeypatch):
+        """``completed_at`` is read after the synchronous solve, so a
+        slow solve shows in the outcome's latency on a wall clock."""
+        truth = smooth_field(
+            8, 8, cutoff=0.25, amplitude=4.0, offset=20.0, rng=11
+        )
+        env = Environment(fields={"temperature": truth})
+        bus = MessageBus()
+        bus.attach_clock(clock, "link")
+        lc = LocalCloud(
+            "wall-lc", bus, 8, 8, n_nanoclouds=1, nodes_per_nc=16, rng=5
+        )
+        solve_s = 0.12
+        solved_at = []
+        real_solve = rounds.solve_pending_rounds
+
+        def slow_solve(pairs, config):
+            solved = real_solve(pairs, config)
+            time.sleep(solve_s)
+            solved_at.append(clock.now)
+            return solved
+
+        monkeypatch.setattr(rounds, "solve_pending_rounds", slow_solve)
+        outcomes = []
+        driver = ZoneRoundDriver(
+            0, lc, env, clock, period_s=0.3, on_complete=outcomes.append,
+        )
+        driver.start()
+        clock.run_for(0.75)
+        driver.stop()
+
+        completed = [o for o in outcomes if o.result is not None]
+        assert completed and len(solved_at) >= len(completed)
+        for outcome, done in zip(completed, solved_at):
+            assert outcome.completed_at >= done
+            assert outcome.latency_s >= solve_s
