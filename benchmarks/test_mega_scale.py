@@ -71,6 +71,7 @@ def _merge_bench_json(section: str, payload: dict) -> None:
         except json.JSONDecodeError:
             pass
     document["smoke"] = SMOKE
+    document["cpu_count"] = os.cpu_count()
     document.setdefault("sections", {})[section] = payload
     BENCH_JSON.write_text(json.dumps(document, indent=2) + "\n")
 

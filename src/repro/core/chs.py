@@ -44,8 +44,9 @@ Hot-path engineering (the default ``engine="fast"``):
   preserved exactly.
 - Step 3(e) updates the refit with a rank-1 QR update per admitted atom
   (:class:`repro.core.incremental.IncrementalQR`) instead of re-running
-  ``lstsq`` from scratch; GLS whitens the sampled rows once up front so
-  the same incremental machinery covers eq. 12.
+  ``lstsq`` from scratch; GLS validates V once and whitens ``x_S`` and
+  each admitted atom's sampled column (never all N), so the same
+  incremental machinery covers eq. 12.
 
 ``engine="reference"`` dispatches to the seed implementation
 (:func:`repro.core.reference.chs_reference`), which the property suite
@@ -61,7 +62,7 @@ import numpy as np
 
 from ..analysis import contracts
 from .incremental import IncrementalQR, top_k_indices
-from .least_squares import whiten
+from .least_squares import whitener
 from .operators import BasisOperator
 
 __all__ = [
@@ -261,14 +262,13 @@ def chs(
     # spuriously with the residual yet cannot be estimated from those
     # samples.  This is the standard matched-filter normalisation OMP
     # uses, applied to Fig. 6's step (c) scoring.
-    column_norms = np.linalg.norm(phi_rows, axis=0)
+    column_norms = np.sqrt(np.einsum("ij,ij->j", phi_rows, phi_rows))
     column_norms = np.where(column_norms > 1e-12, column_norms, np.inf)
-    # Heterogeneous sensors: whiten once so each iteration's eq.-12 GLS
-    # refit reduces to OLS on a fixed system the QR update can grow.
-    if covariance is None:
-        rows_fit, x_fit = phi_rows, x_s
-    else:
-        rows_fit, x_fit = whiten(phi_rows, x_s, covariance)
+    # Heterogeneous sensors: each iteration's eq.-12 GLS refit is OLS on
+    # whitened columns the QR update can grow.  Validate V once, whiten
+    # x_S once and each atom's sampled column as it is admitted.
+    white = None if covariance is None else whitener(covariance, m)
+    x_fit = x_s if white is None else white(x_s)
     refit = IncrementalQR(m, capacity=max_sparsity)
     support: list[int] = []
     in_support = np.zeros(n, dtype=bool)
@@ -307,7 +307,8 @@ def chs(
         # (e) refit all coefficients on the measured rows — one rank-1
         # QR update per admitted atom.
         for j in picked:
-            refit.add_column(rows_fit[:, j])
+            column = phi_rows[:, j]
+            refit.add_column(column if white is None else white(column))
         alpha_sub = refit.solve(x_fit)
         if contracts.enabled():
             # A non-finite refit here means the incremental QR went

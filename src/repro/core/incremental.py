@@ -20,8 +20,10 @@ O(N log N) ``lexsort``.
 
 from __future__ import annotations
 
+from math import sqrt
+
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 __all__ = ["IncrementalQR", "top_k_indices"]
 
@@ -106,15 +108,14 @@ class IncrementalQR:
         self._cols[:, k] = col
         if not self.degenerate:
             q = self._q[:, :k]
-            v = col.copy()
-            r1 = q.T @ v
-            v -= q @ r1
+            r1 = q.T @ col
+            v = col - q @ r1  # a fresh array: ``col`` is never written
             # One reorthogonalisation pass ("twice is enough") keeps Q
             # orthonormal to machine precision even for long supports.
             r2 = q.T @ v
             v -= q @ r2
-            norm = float(np.linalg.norm(v))
-            if norm <= self._rtol * max(float(np.linalg.norm(col)), 1e-300):
+            norm = sqrt(v @ v)
+            if norm <= self._rtol * max(sqrt(col @ col), 1e-300):
                 self.degenerate = True
             else:
                 self._r[:k, k] = r1 + r2
@@ -134,4 +135,9 @@ class IncrementalQR:
             alpha, *_ = np.linalg.lstsq(self._cols[:, :k], y, rcond=None)
             return alpha
         z = self._q[:, :k].T @ y
-        return solve_triangular(self._r[:k, :k], z)
+        alpha, info = dtrtrs(self._r[:k, :k], z)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"triangular refit failed (LAPACK trtrs info={info})"
+            )
+        return alpha

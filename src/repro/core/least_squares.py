@@ -16,9 +16,14 @@ exactly what the naive formula amplifies.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Callable
 
-__all__ = ["ols_solve", "gls_solve", "whiten", "condition_number"]
+import numpy as np
+from scipy.linalg import solve_triangular
+
+__all__ = [
+    "ols_solve", "gls_solve", "whiten", "whitener", "condition_number",
+]
 
 
 def _as_matrix_vector(phi_k: np.ndarray, x_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -53,23 +58,25 @@ def ols_solve(phi_k: np.ndarray, x_s: np.ndarray) -> np.ndarray:
     return alpha
 
 
-def whiten(
-    phi_k: np.ndarray, x_s: np.ndarray, covariance: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Whiten a heteroscedastic system so OLS on the result equals GLS.
+def whitener(
+    covariance: np.ndarray, m: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Validate a noise covariance V for an M-row system and return ``L^{-1}``.
 
-    Factor ``V = L L^T`` (Cholesky) and left-multiply by ``L^{-1}``.
-    Accepts a full covariance matrix, a 1-D vector of per-sensor variances,
-    or a scalar variance.
+    ``V = L L^T``; the returned map left-multiplies an ``(M,)`` vector or
+    an ``(M, k)`` block by ``L^{-1}``, so OLS on whitened rows equals GLS.
+    V may be a scalar variance, a length-M vector of per-sensor
+    variances (whitening is a row scaling) or a full ``(M, M)`` matrix
+    (Cholesky once here, one triangular solve per call).  The greedy
+    solvers validate V once per fit and whiten only the columns they
+    admit.
     """
-    phi_k, x_s = _as_matrix_vector(phi_k, x_s)
-    m = x_s.size
     covariance = np.asarray(covariance, dtype=float)
     if covariance.ndim == 0:
         if covariance <= 0:
             raise ValueError("variance must be positive")
         scale = 1.0 / np.sqrt(float(covariance))
-        return phi_k * scale, x_s * scale
+        return lambda a: a * scale
     if covariance.ndim == 1:
         if covariance.size != m:
             raise ValueError(
@@ -77,14 +84,27 @@ def whiten(
             )
         if np.any(covariance <= 0):
             raise ValueError("all sensor variances must be positive")
-        scale = 1.0 / np.sqrt(covariance)
-        return phi_k * scale[:, None], x_s * scale
+        rows = 1.0 / np.sqrt(covariance)
+        block = rows[:, None]
+        return lambda a: a * (rows if a.ndim == 1 else block)
     if covariance.shape != (m, m):
         raise ValueError(f"covariance must be ({m}, {m}), got {covariance.shape}")
     chol = np.linalg.cholesky(covariance)
-    phi_w = np.linalg.solve(chol, phi_k)
-    x_w = np.linalg.solve(chol, x_s)
-    return phi_w, x_w
+    return lambda a: solve_triangular(chol, a, lower=True, check_finite=False)
+
+
+def whiten(
+    phi_k: np.ndarray, x_s: np.ndarray, covariance: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whiten a heteroscedastic system so OLS on the result equals GLS.
+
+    Factor ``V = L L^T`` (Cholesky) and left-multiply by ``L^{-1}``.
+    Accepts a full covariance matrix, a 1-D vector of per-sensor variances,
+    or a scalar variance (see :func:`whitener`).
+    """
+    phi_k, x_s = _as_matrix_vector(phi_k, x_s)
+    white = whitener(covariance, x_s.size)
+    return white(phi_k), white(x_s)
 
 
 def gls_solve(

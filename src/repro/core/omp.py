@@ -11,39 +11,33 @@ dictionary column most correlated with the current residual, then refits
 all selected coefficients by least squares — the same skeleton the CHS
 algorithm of Fig. 6 builds on.
 
-The default ``engine="fast"`` shares CHS's hot-path machinery: a
-persistent boolean mask suppresses re-selection, the per-iteration
-least-squares refit is a rank-1 QR update
-(:class:`repro.core.incremental.IncrementalQR`) instead of a
-from-scratch ``lstsq``, and a GLS covariance is whitened once up front
-(a per-row variance vector is one row scaling, a full matrix one
-Cholesky), so every refit is least squares on whitened columns.
-``engine="reference"`` runs the seed implementation
-(:func:`repro.core.reference.omp_reference`), the equivalence oracle.
+The default ``engine="fast"`` is one loop for every problem size and
+shares CHS's hot-path machinery: a persistent boolean mask suppresses
+re-selection, and the per-iteration least-squares refit is a rank-1 QR
+update (:class:`repro.core.incremental.IncrementalQR`) instead of a
+from-scratch ``lstsq``.  A GLS covariance is validated once per fit and
+only what the refit reads is whitened: ``x_s`` once, and each column
+when it is admitted (a row scaling for a per-row variance vector, one
+triangular solve against a Cholesky factor computed once for a full
+matrix), so every refit is least squares on whitened columns and the
+rest of the dictionary is never touched.  Selection correlates the raw
+dictionary with the raw residual.  ``engine="reference"`` runs the seed
+implementation (:func:`repro.core.reference.omp_reference`), the
+equivalence oracle: same support, coefficients within 1e-8.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import sqrt
 
 import numpy as np
 
 from ..analysis import contracts
 from .incremental import IncrementalQR
-from .least_squares import ols_solve, whiten
+from .least_squares import whitener
 
 __all__ = ["OMPResult", "omp"]
-
-#: Problem sizes (``M * N``) at or below which the fast engine dispatches
-#: to the lean dense loop.  For small dictionaries the rank-1 QR
-#: bookkeeping and up-front whitening cost more than they save — the
-#: PERF bench measured the incremental path at 0.46x reference at
-#: N=256 and 0.89x at N=1024; a from-scratch refit with no per-iteration
-#: Python overhead beats reference at those sizes.  The pinned bench
-#: sizes N=256 (M=32) and N=1024 (M=128) fall below this threshold,
-#: N=4096 (M=512) stays on the incremental path.
-DENSE_CROSSOVER = 1 << 18
-
 
 @dataclass
 class OMPResult:
@@ -129,23 +123,17 @@ def omp(
         )
 
     # Column norms for a scale-invariant correlation test; guard zeros.
-    col_norms = np.linalg.norm(phi_tilde, axis=0)
+    col_norms = np.sqrt(np.einsum("ij,ij->j", phi_tilde, phi_tilde))
     safe_norms = np.where(col_norms > 0, col_norms, 1.0)
 
-    # Heterogeneous sensors: whiten once so every eq.-12 GLS refit is
-    # OLS on whitened columns.  Selection still correlates the raw
-    # dictionary with the raw residual.
-    if covariance is None:
-        dict_fit, x_fit = phi_tilde, x_s
-    else:
-        dict_fit, x_fit = whiten(phi_tilde, x_s, covariance)
-
-    if m * n <= DENSE_CROSSOVER:
-        return _omp_dense(
-            phi_tilde, x_s, dict_fit, x_fit, sparsity, safe_norms, tol=tol
-        )
+    # Heterogeneous sensors: every eq.-12 GLS refit is OLS on whitened
+    # columns.  Validate V once, whiten x_s once and each column as it
+    # is admitted — never the whole dictionary.
+    white = None if covariance is None else whitener(covariance, m)
+    x_fit = x_s if white is None else white(x_s)
 
     refit = IncrementalQR(m, capacity=sparsity)
+    picked = np.empty((m, sparsity))  # raw admitted columns, in order
     residual = x_s.copy()
     target = tol * max(np.linalg.norm(x_s), 1e-300)
     support: list[int] = []
@@ -156,87 +144,23 @@ def omp(
     for _ in range(sparsity):
         correlations = np.abs(phi_tilde.T @ residual) / safe_norms
         correlations[in_support] = -np.inf  # never reselect
-        best = int(np.argmax(correlations))
-        if not np.isfinite(correlations[best]) or correlations[best] <= 0:
-            break
-        support.append(best)
-        in_support[best] = True
-        refit.add_column(dict_fit[:, best])
-        alpha_sub = refit.solve(x_fit)
-        if contracts.enabled():
-            contracts.check_vector(
-                "alpha_sub", alpha_sub, len(support), context="omp refit"
-            )
-            contracts.check_finite("alpha_sub", alpha_sub, context="omp refit")
-        residual = x_s - phi_tilde[:, support] @ alpha_sub
-        history.append(float(np.linalg.norm(residual)))
-        if history[-1] <= target:
-            break
-
-    coefficients = np.zeros(n)
-    if support:
-        coefficients[support] = alpha_sub
-    return OMPResult(
-        coefficients=coefficients,
-        support=np.asarray(support, dtype=int),
-        residual_norm=float(np.linalg.norm(residual)),
-        iterations=len(support),
-        residual_history=history,
-    )
-
-
-def _omp_dense(
-    phi_tilde: np.ndarray,
-    x_s: np.ndarray,
-    dict_fit: np.ndarray,
-    x_fit: np.ndarray,
-    sparsity: int,
-    safe_norms: np.ndarray,
-    *,
-    tol: float,
-) -> OMPResult:
-    """Lean small-problem loop: from-scratch refits, no QR bookkeeping.
-
-    Runs the reference algorithm (so, unweighted or with a variance
-    vector, it agrees with :func:`repro.core.reference.omp_reference`
-    exactly, not just to the 1e-8 oracle tolerance) with three
-    constant-factor trims: the selected columns grow in preallocated
-    buffers instead of being re-gathered each iteration, re-selection
-    is suppressed with a boolean mask, and the refit reads columns of
-    ``dict_fit``, whitened once by the caller, instead of whitening the
-    support on every iteration.
-    """
-    m, n = phi_tilde.shape
-    sub = np.empty((m, sparsity))
-    sub_fit = sub if dict_fit is phi_tilde else np.empty((m, sparsity))
-    residual = x_s.copy()
-    target = tol * max(np.linalg.norm(x_s), 1e-300)
-    support: list[int] = []
-    in_support = np.zeros(n, dtype=bool)
-    alpha_sub = np.zeros(0)
-    history: list[float] = []
-
-    for _ in range(sparsity):
-        correlations = np.abs(phi_tilde.T @ residual) / safe_norms
-        correlations[in_support] = -np.inf  # never reselect
-        best = int(np.argmax(correlations))
-        if not np.isfinite(correlations[best]) or correlations[best] <= 0:
+        best = int(correlations.argmax())
+        if not 0 < correlations[best] < np.inf:
             break
         support.append(best)
         in_support[best] = True
         k = len(support)
-        sub[:, k - 1] = phi_tilde[:, best]
-        if sub_fit is not sub:
-            sub_fit[:, k - 1] = dict_fit[:, best]
-        picked = sub[:, :k]
-        alpha_sub = ols_solve(sub_fit[:, :k], x_fit)
+        column = phi_tilde[:, best]
+        picked[:, k - 1] = column
+        refit.add_column(column if white is None else white(column))
+        alpha_sub = refit.solve(x_fit)
         if contracts.enabled():
             contracts.check_vector(
-                "alpha_sub", alpha_sub, len(support), context="omp refit"
+                "alpha_sub", alpha_sub, k, context="omp refit"
             )
             contracts.check_finite("alpha_sub", alpha_sub, context="omp refit")
-        residual = x_s - picked @ alpha_sub
-        history.append(float(np.linalg.norm(residual)))
+        residual = x_s - picked[:, :k] @ alpha_sub
+        history.append(sqrt(residual @ residual))
         if history[-1] <= target:
             break
 
@@ -250,3 +174,4 @@ def _omp_dense(
         iterations=len(support),
         residual_history=history,
     )
+

@@ -299,7 +299,10 @@ async def ws_read_message(
 
     Reassembles continuation fragments and unmasks client frames.
     Control frames interleaved inside a fragmented message are returned
-    to the caller in arrival order (the caller answers pings).
+    to the caller in arrival order (the caller answers pings).  A stream
+    that ends anywhere inside a frame, a frame or a reassembled message
+    longer than :data:`MAX_WS_MESSAGE_BYTES`, and a continuation with
+    nothing to continue all end in ``None``; nothing else is raised.
 
     ``include_close=True`` surfaces a close frame as ``(OP_CLOSE,
     payload)`` instead of folding it into ``None`` — resilient clients
@@ -308,38 +311,40 @@ async def ws_read_message(
     """
     opcode: int | None = None
     parts: list[bytes] = []
-    while True:
-        try:
+    size = 0
+    try:
+        while True:
             b1, b2 = await reader.readexactly(2)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return None
-        fin = bool(b1 & 0x80)
-        frame_op = b1 & 0x0F
-        masked = bool(b2 & 0x80)
-        length = b2 & 0x7F
-        if length == 126:
-            length = int.from_bytes(await reader.readexactly(2), "big")
-        elif length == 127:
-            length = int.from_bytes(await reader.readexactly(8), "big")
-        if length > MAX_WS_MESSAGE_BYTES:
-            return None
-        key = await reader.readexactly(4) if masked else b""
-        try:
+            fin = bool(b1 & 0x80)
+            frame_op = b1 & 0x0F
+            masked = bool(b2 & 0x80)
+            length = b2 & 0x7F
+            if length == 126:
+                length = int.from_bytes(await reader.readexactly(2), "big")
+            elif length == 127:
+                length = int.from_bytes(await reader.readexactly(8), "big")
+            if length > MAX_WS_MESSAGE_BYTES:
+                return None
+            key = await reader.readexactly(4) if masked else b""
             payload = await reader.readexactly(length)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return None
-        if masked:
-            payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
-        if frame_op == OP_CLOSE:
-            return (OP_CLOSE, payload) if include_close else None
-        if frame_op in (OP_PING, OP_PONG):
-            return (frame_op, payload)  # control frames never fragment
-        if frame_op != OP_CONT:
-            opcode = frame_op
-            parts = [payload]
-        else:
-            if opcode is None:
-                return None  # continuation with nothing to continue
-            parts.append(payload)
-        if fin and opcode is not None:
-            return (opcode, b"".join(parts))
+            if masked:
+                payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+            if frame_op == OP_CLOSE:
+                return (OP_CLOSE, payload) if include_close else None
+            if frame_op in (OP_PING, OP_PONG):
+                return (frame_op, payload)  # control frames never fragment
+            if frame_op != OP_CONT:
+                opcode = frame_op
+                parts = [payload]
+                size = length
+            else:
+                if opcode is None:
+                    return None  # continuation with nothing to continue
+                parts.append(payload)
+                size += length
+                if size > MAX_WS_MESSAGE_BYTES:
+                    return None  # the bound is per message, not per frame
+            if fin and opcode is not None:
+                return (opcode, b"".join(parts))
+    except (asyncio.IncompleteReadError, ConnectionError):
+        return None

@@ -18,7 +18,8 @@ One :class:`IngestionGateway` owns the whole socket-facing stack:
   - ``GET /zones/latest`` serves the newest zone estimate (the query
     frontend),
   - ``GET /stats`` serves the transport's ``stats_snapshot()`` plus
-    gateway, resilience, overload and round telemetry,
+    gateway, resilience, overload and round telemetry (round-latency
+    p50/p99 over the last :data:`LATENCY_WINDOW_ROUNDS` rounds),
   - ``GET /field/truth`` serves the synthetic ground-truth grid (load
     generators sample it), and ``GET /healthz`` answers liveness (plus
     the admission/overload state a load balancer would key on).
@@ -44,6 +45,7 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +69,11 @@ __all__ = ["GatewayConfig", "ResilienceConfig", "IngestionGateway"]
 #: Eviction books start from these reasons so ``/stats`` always shows
 #: every counter, including the zero ones.
 _EVICTION_REASONS = ("idle", "reset", "shed", "expired")
+
+#: ``/stats`` round-latency percentiles cover the most recent this-many
+#: non-stale rounds: a long-running gateway keeps a fixed-size window,
+#: not one float per round forever.
+LATENCY_WINDOW_ROUNDS = 1024
 
 
 @dataclass(frozen=True)
@@ -280,7 +287,9 @@ class IngestionGateway:
             on_complete=self._on_round,
         )
         self.latest: ZoneRoundOutcome | None = None
-        self.latencies_s: list[float] = []
+        #: Command-to-estimate latency of the last
+        #: :data:`LATENCY_WINDOW_ROUNDS` non-stale rounds.
+        self.latencies_s: deque[float] = deque(maxlen=LATENCY_WINDOW_ROUNDS)
         self.sessions: dict[str, _DeviceSession] = {}
         #: Disconnected-but-resumable sessions, keyed by resume token.
         self._parked: dict[str, _DeviceSession] = {}
@@ -445,7 +454,12 @@ class IngestionGateway:
         }
 
     def stats(self) -> dict[str, object]:
-        """Transport snapshot + gateway and round telemetry (``/stats``)."""
+        """Transport snapshot + gateway and round telemetry (``/stats``).
+
+        ``round_latency_p50_s``/``_p99_s`` cover the last
+        ``round_latency_window`` (:data:`LATENCY_WINDOW_ROUNDS`) non-stale
+        rounds, not the gateway's lifetime.
+        """
         latencies = sorted(self.latencies_s)
         res = self.config.resilience
         return {
@@ -460,6 +474,7 @@ class IngestionGateway:
             "rounds_stale_served": self.driver.rounds_stale_served,
             "round_latency_p50_s": _percentile(latencies, 0.50),
             "round_latency_p99_s": _percentile(latencies, 0.99),
+            "round_latency_window": LATENCY_WINDOW_ROUNDS,
             "overload": self.nanocloud.broker.overload.snapshot(),
             "resilience": {
                 "enabled": res.any_enabled,

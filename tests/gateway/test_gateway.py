@@ -15,7 +15,12 @@ import pytest
 
 from repro.gateway import protocol
 from repro.gateway.loadgen import LoadGenerator
-from repro.gateway.server import GatewayConfig, IngestionGateway
+from repro.gateway.server import (
+    LATENCY_WINDOW_ROUNDS,
+    GatewayConfig,
+    IngestionGateway,
+)
+from repro.middleware.rounds import ZoneRoundOutcome
 
 W = H = 4
 PERIOD_S = 0.25
@@ -208,3 +213,32 @@ class TestLoadGenerator:
         assert stats["round_latency_p50_s"] > 0.0
         assert stats["round_latency_p99_s"] >= stats["round_latency_p50_s"]
         assert stats["transport"]["messages"] > 0
+
+
+class TestLatencyWindow:
+    def test_latency_state_is_a_bounded_window(self, gateway):
+        # More rounds than the window holds, each with a distinct
+        # latency; stale re-serves never enter the window.
+        n = LATENCY_WINDOW_ROUNDS
+        rounds = n + 300
+        for i in range(rounds):
+            for stale in (False, True):
+                gateway.driver.on_complete(
+                    ZoneRoundOutcome(
+                        zone_id=0, result=None, started_at=10.0,
+                        completed_at=10.0 + 1e-3 * (i + 1), index=i,
+                        stale=stale,
+                    )
+                )
+        assert len(gateway.latencies_s) == n
+        stats = gateway.stats()
+        assert stats["round_latency_window"] == n
+        window = [1e-3 * (i + 1) for i in range(rounds - n, rounds)]
+        assert stats["round_latency_p50_s"] == pytest.approx(
+            window[int(0.50 * n)]
+        )
+        assert stats["round_latency_p99_s"] == pytest.approx(
+            window[int(0.99 * n)]
+        )
+        # The oldest rounds have left: a lifetime p50 would be far lower.
+        assert stats["round_latency_p50_s"] > 1e-3 * rounds / 2

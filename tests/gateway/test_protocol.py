@@ -9,6 +9,8 @@ import asyncio
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gateway import protocol
 
@@ -157,3 +159,127 @@ class TestFrames:
             8, "big"
         )
         assert _run(_decode(header)) is None
+
+
+# -- property tests over the frame parsers --------------------------------
+
+LENGTH_EDGES = [0, 1, 125, 126, 127, 65535, 65536]
+OPCODES = [protocol.OP_TEXT, protocol.OP_BINARY, protocol.OP_PING,
+           protocol.OP_PONG]
+
+
+def _payload(size: int, seed: int) -> bytes:
+    return random.Random(seed).randbytes(size)
+
+
+async def _decode_bounded(data: bytes, **kwargs):
+    """Decode with a deadline: a parser that waits on a closed stream
+    hangs, and the deadline turns that into a test failure."""
+    return await asyncio.wait_for(
+        protocol.ws_read_message(await _reader_for(data), **kwargs),
+        timeout=5.0,
+    )
+
+
+class TestFrameProperties:
+    @given(
+        size=st.one_of(
+            st.sampled_from(LENGTH_EDGES), st.integers(0, 400)
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        opcode=st.sampled_from(OPCODES),
+        mask=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_encode_read_round_trip(self, size, seed, opcode, mask):
+        payload = _payload(size, seed)
+        frame = protocol.ws_encode(
+            payload, opcode=opcode, mask=mask, rng=random.Random(seed)
+        )
+        assert _run(_decode_bounded(frame)) == (opcode, payload)
+
+    @given(
+        size=st.sampled_from(LENGTH_EDGES),
+        seed=st.integers(0, 2**32 - 1),
+        mask=st.booleans(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_close_round_trip(self, size, seed, mask):
+        payload = _payload(size, seed)
+        frame = protocol.ws_encode(
+            payload, opcode=protocol.OP_CLOSE, mask=mask,
+            rng=random.Random(seed),
+        )
+        assert _run(_decode_bounded(frame)) is None
+        assert _run(_decode_bounded(frame, include_close=True)) == (
+            protocol.OP_CLOSE, payload,
+        )
+
+    @given(
+        size=st.one_of(
+            st.sampled_from(LENGTH_EDGES), st.integers(0, 300)
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        mask=st.booleans(),
+        cut=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_truncated_stream_ends_in_none(self, size, seed, mask, cut):
+        frame = protocol.ws_encode(
+            _payload(size, seed), opcode=protocol.OP_BINARY, mask=mask,
+            rng=random.Random(seed),
+        )
+        truncated = frame[: int(cut * len(frame))]
+        assert _run(_decode_bounded(truncated)) is None
+
+    @given(data=st.binary(max_size=64))
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_bytes_never_raise(self, data):
+        result = _run(_decode_bounded(data))
+        assert result is None or (
+            isinstance(result, tuple) and isinstance(result[1], bytes)
+        )
+
+    @given(data=st.binary(max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_parse_close_on_arbitrary_bytes(self, data):
+        code, reason = protocol.ws_parse_close(data)
+        assert isinstance(reason, str)
+        if len(data) < 2:
+            assert (code, reason) == (None, "")
+        else:
+            assert code == int.from_bytes(data[:2], "big")
+
+    @given(
+        code=st.integers(1000, 4999),
+        reason=st.text(max_size=40),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_close_payload_round_trip(self, code, reason):
+        payload = protocol.ws_close_payload(code, reason)
+        assert protocol.ws_parse_close(payload) == (code, reason)
+
+
+class TestFrameRegressions:
+    """Examples the properties above found, kept as fixed cases."""
+
+    def test_stream_ending_inside_extended_length(self):
+        frame = protocol.ws_encode(b"x" * 200, opcode=protocol.OP_BINARY)
+        assert _run(_decode_bounded(frame[:3])) is None  # 1 of 2 length bytes
+
+    def test_stream_ending_inside_mask_key(self):
+        frame = protocol.ws_encode(
+            b"abc", mask=True, rng=random.Random(1)
+        )
+        assert _run(_decode_bounded(frame[:4])) is None  # 2 of 4 key bytes
+
+    def test_fragments_may_not_exceed_the_message_bound(self, monkeypatch):
+        # Each fragment is under the bound; the reassembled message is not.
+        monkeypatch.setattr(protocol, "MAX_WS_MESSAGE_BYTES", 8)
+        first = bytes([protocol.OP_TEXT, 5]) + b"abcde"
+        final = bytes([0x80 | protocol.OP_CONT, 5]) + b"fghij"
+        assert _run(_decode_bounded(first + final)) is None
+        within = bytes([0x80 | protocol.OP_CONT, 3]) + b"fgh"
+        assert _run(_decode_bounded(first + within)) == (
+            protocol.OP_TEXT, b"abcdefgh",
+        )
