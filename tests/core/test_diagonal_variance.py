@@ -64,15 +64,33 @@ class TestGlsSolve:
         assert np.allclose(a, b, rtol=0.0, atol=TOL)
 
 
+# OMP once split at m * n == 2**18 between an lstsq loop (at or below)
+# and the rank-1 QR loop (above).  One QR loop serves both sizes now;
+# both ranges stay covered.
+LOOP_SPLIT = 1 << 18
+
+
+def _omp_vector_and_matrix(phi, loc, values, variances, k):
+    rows = phi[loc]
+    a = omp(rows, values, k, covariance=variances)
+    b = omp(rows, values, k, covariance=np.diag(variances))
+    _assert_same(a.support, a.coefficients, b.support, b.coefficients)
+
+
 class TestOmp:
     @given(seed=SEEDS)
     @settings(max_examples=30, deadline=None)
-    def test_vector_equals_matrix(self, seed):
+    def test_dense_loop_vector_equals_matrix(self, seed):
         phi, loc, values, variances, k = _problem(seed)
-        rows = phi[loc]
-        a = omp(rows, values, k, covariance=variances)
-        b = omp(rows, values, k, covariance=np.diag(variances))
-        _assert_same(a.support, a.coefficients, b.support, b.coefficients)
+        assert loc.size * phi.shape[1] <= LOOP_SPLIT
+        _omp_vector_and_matrix(phi, loc, values, variances, k)
+
+    @given(seed=SEEDS, m=st.integers(min_value=257, max_value=384))
+    @settings(max_examples=10, deadline=None)
+    def test_incremental_loop_vector_equals_matrix(self, seed, m):
+        phi, loc, values, variances, k = _problem(seed, n=1024, m=m)
+        assert loc.size * phi.shape[1] > LOOP_SPLIT
+        _omp_vector_and_matrix(phi, loc, values, variances, k)
 
     @given(seed=SEEDS)
     @settings(max_examples=20, deadline=None)
