@@ -2,9 +2,10 @@
 
 Three measurements of the PR-7 core:
 
-- **MEGA-TICK**: one mobility tick, vectorized array engine vs the
-  preserved object-per-node path, at a 2048-node deployment.  The two
-  engines are bit-identical (Hypothesis-pinned in
+- **MEGA-TICK**: one mobility tick, the vectorized array core vs the
+  object-per-node stepper kept as the test suite's oracle
+  (``tests/oracles/population.py``), at a 2048-node deployment.  The
+  two are bit-identical (Hypothesis-pinned in
   ``tests/sim/test_population.py``), so the timing gap is pure
   per-node Python overhead.
 - **MEGA-SCALE**: full collect/solve/finalize rounds at constant node
@@ -34,6 +35,7 @@ import numpy as np
 
 from repro.sim.mega import MegaConfig, MegaSimulation
 from repro.sim.population import NodePopulation, PopulationConfig
+from tests.oracles.population import ObjectStepper
 
 from _util import record_series
 
@@ -86,7 +88,7 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def _population(engine: str) -> NodePopulation:
+def _population() -> NodePopulation:
     return NodePopulation(
         PopulationConfig(
             n_nodes=TICK_NODES,
@@ -96,7 +98,6 @@ def _population(engine: str) -> NodePopulation:
             zones_y=2,
             mobility="gauss_markov",
             seed=99,
-            engine=engine,
         )
     )
 
@@ -119,8 +120,8 @@ def _mega_config(nodes: int, edge: int, zones: int, **overrides) -> MegaConfig:
 
 
 def test_mega_tick_vector_vs_object(benchmark):
-    vector = _population("vector")
-    objects = _population("object")
+    vector = _population()
+    objects = ObjectStepper(_population())
     repeats = 5
 
     vector_s = _best_of(vector.tick, repeats)

@@ -1,6 +1,8 @@
 """PERF — the fast solver core vs the seed reference implementation.
 
-Three timed comparisons, each fast-vs-reference on identical inputs:
+The reference arm is the seed's dense CHS/OMP, kept outside the package
+as the test suite's oracle (``tests/oracles/solvers.py``).  Three timed
+comparisons, each fast-vs-reference on identical inputs:
 
 - **PERF-CHS**: the Fig. 6 CHS solver at N in {256, 1024, 4096} with the
   default zero-fill interpolator.  The fast engine replaces the O(N^2)
@@ -10,9 +12,12 @@ Three timed comparisons, each fast-vs-reference on identical inputs:
   the N x N basis build entirely.
 - **PERF-OMP**: OMP at the same sizes (mask + incremental QR).
 - **PERF-ROUND**: one full ``sense_field`` round over a 2048-node
-  deployment (4 zones of 64x64 cells, 512 phones each), fast engine +
-  operator bases + shared registry vs the reference engine rebuilding
+  deployment (4 zones of 64x64 cells, 512 phones each), fast solvers +
+  operator bases + shared registry vs the reference solvers rebuilding
   per-broker dense bases — the end-to-end number a deployment feels.
+  The reference arm is the same deployment with the reference CHS and
+  a private ``dct2_basis`` per broker patched in
+  (``tests/oracles/substitution.py``).
 
 Results go to ``benchmarks/results/PERF-*.txt`` and are merged into
 ``BENCH_PERF.json`` at the repo root.  Smoke mode
@@ -38,6 +43,11 @@ from repro.fields.generators import urban_temperature_field
 from repro.middleware.api import SenseDroid
 from repro.middleware.config import BrokerConfig, HierarchyConfig
 from repro.sensors.base import Environment
+from tests.oracles.solvers import chs_reference, omp_reference
+from tests.oracles.substitution import (
+    use_private_dense_bases,
+    use_reference_solvers,
+)
 
 from _util import record_series
 
@@ -105,9 +115,8 @@ def test_perf_chs_solver(benchmark):
         repeats = 3 if n <= 1024 else 2
 
         ref = _best_of(
-            lambda: chs(
-                phi, x_s, locations, max_sparsity=sparsity,
-                engine="reference",
+            lambda: chs_reference(
+                phi, x_s, locations, max_sparsity=sparsity
             ),
             repeats,
         )
@@ -115,8 +124,8 @@ def test_perf_chs_solver(benchmark):
             lambda: chs(operator, x_s, locations, max_sparsity=sparsity),
             repeats,
         )
-        # The two engines must agree before their timings mean anything.
-        a = chs(phi, x_s, locations, max_sparsity=sparsity, engine="reference")
+        # The two arms must agree before their timings mean anything.
+        a = chs_reference(phi, x_s, locations, max_sparsity=sparsity)
         b = chs(operator, x_s, locations, max_sparsity=sparsity)
         assert np.allclose(a.reconstruction, b.reconstruction, atol=1e-8)
 
@@ -162,11 +171,11 @@ def test_perf_omp_solver(benchmark):
         repeats = 3
 
         ref = _best_of(
-            lambda: omp(phi_rows, x_s, sparsity=k, engine="reference"),
+            lambda: omp_reference(phi_rows, x_s, sparsity=k),
             repeats,
         )
         fast = _best_of(lambda: omp(phi_rows, x_s, sparsity=k), repeats)
-        a = omp(phi_rows, x_s, sparsity=k, engine="reference")
+        a = omp_reference(phi_rows, x_s, sparsity=k)
         b = omp(phi_rows, x_s, sparsity=k)
         assert np.allclose(a.coefficients, b.coefficients, atol=1e-8)
 
@@ -197,7 +206,7 @@ def test_perf_omp_solver(benchmark):
     )
 
 
-def _deploy(engine: str) -> SenseDroid:
+def _deploy() -> SenseDroid:
     truth = urban_temperature_field(ROUND_FIELD, ROUND_FIELD, rng=7)
     env = Environment(fields={"temperature": truth})
     return SenseDroid(
@@ -207,24 +216,34 @@ def _deploy(engine: str) -> SenseDroid:
             zones_y=ROUND_ZONES,
             nodes_per_nanocloud=ROUND_NODES_PER_NC,
         ),
-        broker_config=BrokerConfig(solver_engine=engine),
+        broker_config=BrokerConfig(),
         rng=123,
     )
 
 
-def test_perf_full_round(benchmark):
+def test_perf_full_round(benchmark, monkeypatch):
     n_nodes = ROUND_ZONES * ROUND_ZONES * ROUND_NODES_PER_NC
     # Build both deployments first (node placement is identical), then
     # time one cold sense_field round each: the reference arm pays its
     # per-broker dense basis builds and dense solves; the fast arm its
     # shared operators and sampled-row solves — exactly the deployment
     # cost difference.
-    reference_system = _deploy("reference")
-    fast_system = _deploy("fast")
+    reference_system = _deploy()
+    fast_system = _deploy()
 
-    start = time.perf_counter()
-    reference_estimate = reference_system.sense_field()
-    reference_s = time.perf_counter() - start
+    with monkeypatch.context() as patch:
+        use_reference_solvers(patch)
+        use_private_dense_bases(
+            patch,
+            [
+                nc.broker
+                for lc in reference_system.hierarchy.localclouds.values()
+                for nc in lc.nanoclouds
+            ],
+        )
+        start = time.perf_counter()
+        reference_estimate = reference_system.sense_field()
+        reference_s = time.perf_counter() - start
 
     start = time.perf_counter()
     fast_estimate = fast_system.sense_field()

@@ -5,7 +5,7 @@ at a time, which is exactly as far as a single-file invariant reaches.
 The invariants PRs 2/7/8 added span *files and execution domains*: a
 blocking call two frames below a gateway coroutine stalls every session
 on the event loop, an impure helper called from the "pure" solve phase
-breaks serial==parallel bit-identity, and a publisher whose topic no
+breaks serial==sharded bit-identity, and a publisher whose topic no
 subscriber ever registers for is a contract violated at a distance.
 
 This module builds the shared substrate those rules query:

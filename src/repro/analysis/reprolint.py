@@ -25,11 +25,11 @@ RPR002 wall-clock
     allowlisted wholesale: there the wall clock *is* the simulation
     clock, by design — see ``docs/invariants.md``.
 RPR003 solve-purity
-    Writes to ``self.*`` (or ``global`` declarations) inside functions
-    dispatched on the parallel-reconstruction thread pool — the
-    collect/solve/finalize split of ``broker.py`` / ``rounds.py`` /
-    ``localcloud.py``.  Bit-identity of parallel and serial zone
-    reconstruction depends on the solve phase being side-effect-free.
+    Writes to ``self.*`` (or ``global`` declarations) inside the solve
+    phase of the collect/solve/finalize split of ``broker.py`` /
+    ``rounds.py`` / ``localcloud.py``.  Bit-identity of sharded and
+    serial zone reconstruction depends on the solve phase being
+    side-effect-free.
 RPR004 raw-topic
     Raw string-literal topics at ``publish``/``subscribe``/
     ``unsubscribe`` call sites.  Topics must come from the shared
@@ -111,8 +111,8 @@ RULES: dict[str, tuple[str, str]] = {
     ),
     "RPR003": (
         "solve-purity",
-        "state mutation inside a thread-pool-dispatched solve-phase "
-        "function; the parallel==serial bit-identity needs solves to be "
+        "state mutation inside a solve-phase function; the "
+        "serial==sharded bit-identity needs solves to be "
         "side-effect-free",
     ),
     "RPR004": (
@@ -157,7 +157,7 @@ RULES: dict[str, tuple[str, str]] = {
     "RPR011": (
         "transitive-impurity",
         "solve-phase function reaches (at any call depth) code that "
-        "writes self.*/module state; serial==parallel bit-identity "
+        "writes self.*/module state; serial==sharded bit-identity "
         "needs the whole solve call tree side-effect-free",
     ),
     "RPR012": (

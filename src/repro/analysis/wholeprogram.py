@@ -20,7 +20,7 @@ RPR011 transitive-impurity
     kernels) calling — at any depth — a function that writes ``self.*``
     or module state.  Direct writes stay RPR003's job; this rule flags
     the call edge that *reaches* a write, because that is what breaks
-    serial==parallel bit-identity from a distance.  A pragma on the
+    serial==sharded bit-identity from a distance.  A pragma on the
     write line sanctions the write for every path reaching it.
 RPR012 seed-lineage
     (a) the same integer-literal seed feeding two distinct RNG stream
@@ -100,7 +100,6 @@ _BLOCKING_PROJECT = frozenset(
         "repro.core.reconstruction.reconstruct",
         "repro.core.robust.robust_reconstruct",
         "repro.core.spatiotemporal.reconstruct_spacetime",
-        "repro.middleware.localcloud.solve_pending_rounds",
         "repro.middleware.broker.Broker.solve_round",
         "repro.middleware.broker.Broker.run_round",
         "repro.sim.mega.MegaSimulation.run_round",
@@ -413,7 +412,7 @@ def _check_transitive_impurity(
                         site.line,
                         site.col,
                         f"solve-phase call reaches impure code: {via}; "
-                        "serial==parallel bit-identity needs everything "
+                        "serial==sharded bit-identity needs everything "
                         "the solve phase touches to be side-effect-free "
                         "— move the mutation to collect/finalize, or "
                         "pragma the write as a documented exception",

@@ -28,7 +28,7 @@ by the nodes for context processing" — accordingly
 :class:`repro.middleware.broker.Broker` and the temporal context probes
 both call :func:`chs`.
 
-Hot-path engineering (the default ``engine="fast"``):
+Hot-path engineering:
 
 - For the default :func:`zero_fill_interpolate` — the adjoint of the
   selection operator — step 3(b) collapses algebraically:
@@ -48,9 +48,9 @@ Hot-path engineering (the default ``engine="fast"``):
   each admitted atom's sampled column (never all N), so the same
   incremental machinery covers eq. 12.
 
-``engine="reference"`` dispatches to the seed implementation
-(:func:`repro.core.reference.chs_reference`), which the property suite
-holds the fast path to within 1e-8 of.
+The seed's dense loop is kept outside the package, as the test suite's
+oracle (``tests/oracles/solvers.py``): the property suite holds this
+implementation to within 1e-8 of it.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ def zero_fill_interpolate(
     measurement-domain correlation ``Phi[L,:].T @ e_r`` — the classical
     matched-filter score — so CHS stays reliable even when the field has
     content the smoother interpolators alias away (e.g. the engine
-    vibration tone in the Fig. 4 accelerometer window).  The fast solver
-    engine exploits exactly this identity to avoid the dense product.
+    vibration tone in the Fig. 4 accelerometer window).  :func:`chs`
+    exploits exactly this identity to avoid the dense product.
     """
     locations = np.asarray(locations, dtype=int)
     full = np.zeros(n)
@@ -162,7 +162,6 @@ def chs(
     max_iterations: int = 64,
     covariance: np.ndarray | None = None,
     interpolator: Interpolator = zero_fill_interpolate,
-    engine: str = "fast",
 ) -> CHSResult:
     """Run Compressive Heterogeneous Sensing (paper Fig. 6).
 
@@ -193,33 +192,11 @@ def chs(
         GLS (heterogeneous sensors), else OLS (homogeneous).
     interpolator:
         The Y function of step 3a.
-    engine:
-        ``"fast"`` (default) runs the matrix-free/incremental hot path;
-        ``"reference"`` runs the seed's dense implementation (the
-        equivalence oracle and bench baseline).
 
     Returns
     -------
     :class:`CHSResult` with the N-point reconstruction ``x_hat``.
     """
-    if engine not in ("fast", "reference"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "reference":
-        from .reference import chs_reference
-
-        dense = phi.to_dense() if isinstance(phi, BasisOperator) else phi
-        return chs_reference(
-            dense,
-            x_s,
-            locations,
-            max_sparsity=max_sparsity,
-            batch_size=batch_size,
-            tol=tol,
-            max_iterations=max_iterations,
-            covariance=covariance,
-            interpolator=interpolator,
-        )
-
     op: BasisOperator | None
     dense: np.ndarray | None
     x_s = np.asarray(x_s, dtype=float).ravel()

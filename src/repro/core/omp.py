@@ -11,8 +11,8 @@ dictionary column most correlated with the current residual, then refits
 all selected coefficients by least squares — the same skeleton the CHS
 algorithm of Fig. 6 builds on.
 
-The default ``engine="fast"`` is one loop for every problem size and
-shares CHS's hot-path machinery: a persistent boolean mask suppresses
+:func:`omp` is one loop for every problem size and shares CHS's
+hot-path machinery: a persistent boolean mask suppresses
 re-selection, and the per-iteration least-squares refit is a rank-1 QR
 update (:class:`repro.core.incremental.IncrementalQR`) instead of a
 from-scratch ``lstsq``.  A GLS covariance is validated once per fit and
@@ -21,9 +21,9 @@ when it is admitted (a row scaling for a per-row variance vector, one
 triangular solve against a Cholesky factor computed once for a full
 matrix), so every refit is least squares on whitened columns and the
 rest of the dictionary is never touched.  Selection correlates the raw
-dictionary with the raw residual.  ``engine="reference"`` runs the seed
-implementation (:func:`repro.core.reference.omp_reference`), the
-equivalence oracle: same support, coefficients within 1e-8.
+dictionary with the raw residual.  The seed's from-scratch-refit loop
+is kept outside the package, as the test suite's equivalence oracle
+(``tests/oracles/solvers.py``): same support, coefficients within 1e-8.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ def omp(
     *,
     tol: float = 1e-9,
     covariance: np.ndarray | None = None,
-    engine: str = "fast",
 ) -> OMPResult:
     """Recover a sparse coefficient vector from measurements ``x_s``.
 
@@ -93,23 +92,11 @@ def omp(
         (correlated noise).  When given, the per-iteration refit uses
         GLS (eq. 12) instead of OLS (eq. 11), matching step 3(e)(ii) of
         Fig. 6.
-    engine:
-        ``"fast"`` (default) uses the incremental QR refit;
-        ``"reference"`` runs the seed's from-scratch-refit loop.
 
     Returns
     -------
     :class:`OMPResult` with the N-length coefficient vector.
     """
-    if engine not in ("fast", "reference"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "reference":
-        from .reference import omp_reference
-
-        return omp_reference(
-            phi_tilde, x_s, sparsity, tol=tol, covariance=covariance
-        )
-
     phi_tilde = np.asarray(phi_tilde, dtype=float)
     x_s = np.asarray(x_s, dtype=float).ravel()
     if phi_tilde.ndim != 2:

@@ -82,7 +82,6 @@ def reconstruct(
     noise_budget: float | None = None,
     batch_size: int = 1,
     center: bool = False,
-    engine: str = "fast",
 ) -> Reconstruction:
     """Reconstruct a full N-point field from M point measurements.
 
@@ -121,10 +120,6 @@ def reconstruct(
         with a spuriously well-matching non-constant atom whose
         off-sample oscillation ruins the reconstruction.  Brokers enable
         this; leave off for zero-mean/exactly-sparse signals.
-    engine:
-        Solver engine forwarded to ``chs``/``omp``: ``"fast"``
-        (default) or ``"reference"`` (the seed implementation, used as
-        the perf-bench baseline and equivalence oracle).
 
     Returns
     -------
@@ -210,7 +205,6 @@ def reconstruct(
             max_sparsity=sparsity,
             batch_size=batch_size,
             covariance=covariance,
-            engine=engine,
         )
         x_hat = result.reconstruction
         coefficients = result.coefficients
@@ -221,7 +215,6 @@ def reconstruct(
             values,
             sparsity=min(sparsity, m, n),
             covariance=covariance,
-            engine=engine,
         )
         coefficients = result.coefficients
         support = result.support

@@ -13,15 +13,13 @@ re-enabled (its base is read-only), because they are *shared* and an
 in-place edit by one consumer would silently corrupt every other zone's
 solver.  Callers that genuinely need a private copy (none in this
 package do) must ``.copy()`` explicitly.  Under ``REPRO_SANITIZE=1`` the
-guard additionally checksums every shared array so the parallel solve
+guard additionally checksums every shared array so the sharded solve
 path can verify nothing drifted (see :mod:`repro.analysis.contracts`).
 
 Matrix-free operator forms (:mod:`repro.core.operators`) are memoised
 here too; they are cheap to build but sharing them keeps identity checks
 (`a is b`) meaningful for tests and lets future operators carry cached
-plans.  ``functools.lru_cache`` is thread-safe, so brokers solving in
-parallel (see ``BrokerConfig.parallel_reconstruction``) can warm the
-registry concurrently.
+plans.
 """
 
 from __future__ import annotations

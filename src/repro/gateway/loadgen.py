@@ -287,10 +287,11 @@ class LoadGenerator:
         state.closed = closed
 
         async def drain_inbound() -> None:
+            inbound = protocol.WsReadState()
             try:
                 while True:
                     message = await protocol.ws_read_message(
-                        reader, include_close=True
+                        reader, include_close=True, state=inbound
                     )
                     if message is None:
                         return

@@ -68,7 +68,7 @@ __all__ = ["GatewayConfig", "ResilienceConfig", "IngestionGateway"]
 
 #: Eviction books start from these reasons so ``/stats`` always shows
 #: every counter, including the zero ones.
-_EVICTION_REASONS = ("idle", "reset", "shed", "expired")
+_EVICTION_REASONS = ("idle", "reset", "shed", "expired", "protocol")
 
 #: ``/stats`` round-latency percentiles cover the most recent this-many
 #: non-stale rounds: a long-running gateway keeps a fixed-size window,
@@ -706,9 +706,12 @@ class IngestionGateway:
         node = session.node
         res = self.config.resilience
         limited = res.rate_limit_hz > 0.0
+        inbound = protocol.WsReadState()
         try:
             while True:
-                message = await protocol.ws_read_message(reader)
+                message = await protocol.ws_read_message(
+                    reader, state=inbound
+                )
                 if message is None:
                     break
                 opcode, payload = message
@@ -733,6 +736,14 @@ class IngestionGateway:
                 node.handle_device_frame(frame, self.transport)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
+        if inbound.failure is not None:
+            # RFC 6455 section 7.1.7: fail the connection, saying why.
+            self._evict(
+                session,
+                "protocol",
+                close_code=inbound.failure,
+                close_reason="protocol error",
+            )
 
     def _take_token(self, session: _DeviceSession) -> bool:
         """Refill and draw from the session's inbound token bucket."""

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..context.group import ContextReport, GroupAggregator
-from ..core.basis import basis_by_name, dct2_basis
 from ..core.operators import BasisOperator
 from ..core.reconstruction import Reconstruction, reconstruct
 from ..core.robust import RobustFit, robust_reconstruct
@@ -165,8 +164,7 @@ class _PendingRound:
     :meth:`Broker.collect_round` produces this record after all bus
     traffic and RNG draws are done; :meth:`Broker.solve_round` consumes
     it without touching the bus, the nodes or any mutable broker state,
-    which is what lets a LocalCloud fan several zones' solves over a
-    thread pool while staying bit-identical to a serial run.
+    so a solve's result depends only on this record.
     """
 
     locations: np.ndarray
@@ -182,7 +180,7 @@ class _PendingRound:
     # Per-row node attribution (parallel to ``locations``).
     sources: list[tuple[str, ...]] = field(default_factory=list)
     # Filled by solve_round when robust_mode != "none"; each pending
-    # round is owned by one solve, so writing it stays thread-safe.
+    # round is owned by one solve, so writing it is not shared state.
     robust: RobustFit | None = None
 
 
@@ -343,15 +341,6 @@ class Broker:
             cfg = self.config
             if cfg.use_prior_basis and self.prior is not None:
                 self._basis_cache = self.prior.basis
-            elif cfg.solver_engine == "reference":
-                # Seed behaviour, kept honest for perf baselines: every
-                # broker builds (and owns) its dense basis from scratch.
-                if cfg.basis == "dct2":
-                    self._basis_cache = dct2_basis(
-                        self.zone_width, self.zone_height
-                    )
-                else:
-                    self._basis_cache = basis_by_name(cfg.basis, self.n)
             elif cfg.basis == "dct2":
                 self._basis_cache = (
                     shared_dct2_operator(self.zone_width, self.zone_height)
@@ -587,14 +576,14 @@ class Broker:
     # A round has three phases with different concurrency contracts:
     #
     #   collect_round   — bus traffic, node commands, RNG draws.  Serial.
-    #   solve_round     — pure numerics on the collected inputs.  Safe to
-    #                     run on a worker thread (one thread per broker).
+    #   solve_round     — pure numerics on the collected inputs; touches
+    #                     no bus, RNG or broker state.
     #   finalize_round  — sparsity adaptation, history, the ZoneEstimate.
     #                     Serial; mutates broker state.
     #
-    # run_round composes the three for the common serial case; the
-    # LocalCloud / Hierarchy layers drive the phases separately when
-    # parallel reconstruction is enabled.
+    # run_round composes the three; the LocalCloud / Hierarchy layers
+    # and the round driver drive the phases separately, collecting
+    # every NanoCloud before any solve.
 
     def plan_round(
         self,
@@ -833,9 +822,9 @@ class Broker:
 
         Pure numerics — no bus, no RNG, no broker-state mutation (the
         robust outcome lands on the pending record itself, which is
-        owned by exactly one solve) — so distinct brokers' solves may
-        run concurrently on worker threads.  Returns the solver result
-        and the zone field vector ``x_hat``.
+        owned by exactly one solve) — so the result depends only on
+        ``pending``.  Returns the solver result and the zone field
+        vector ``x_hat``.
         """
         phi = self._basis()
         # Bind the prior locally: mypy cannot carry an `is not None`
@@ -856,7 +845,6 @@ class Broker:
                     solver=self.config.solver,
                     sparsity=sparsity,
                     covariance=covariance,
-                    engine=self.config.solver_engine,
                 )
                 return result, prior.uncenter(result.x_hat)
             result = reconstruct(
@@ -865,7 +853,6 @@ class Broker:
                 sparsity=sparsity,
                 covariance=covariance,
                 center=True,  # physical fields: baseline + sparse variation
-                engine=self.config.solver_engine,
             )
             return result, result.x_hat
 

@@ -147,23 +147,11 @@ class BrokerConfig:
     # Doubles per retry attempt.  Must comfortably exceed the command +
     # report round-trip latency of the slowest link in play.
     report_timeout_s: float = 2.0
-    # Solver engine: "fast" (matrix-free adjoint correlation, incremental
-    # QR refits, shared bases) or "reference" (the seed's dense loops,
-    # kept as the perf baseline and equivalence oracle).
-    solver_engine: str = "fast"
     # Use matrix-free operator bases (scipy.fft DCT plans) instead of
     # dense N x N matrices where an operator form exists (dct, dct2).
-    # Only honoured by the fast engine; the reference engine always
-    # densifies.
+    # Either way the basis comes from the process-wide registry, shared
+    # by every same-shaped broker.
     operator_basis: bool = True
-    # Fan the per-zone solve phase over a thread pool at the LocalCloud /
-    # hierarchy layer.  Collection (bus traffic, RNG draws) and
-    # finalisation (state mutation) stay serial in zone order, so the
-    # estimates are bit-identical to a serial run.
-    parallel_reconstruction: bool = False
-    # Thread-pool size for parallel reconstruction; None sizes the pool
-    # to min(pending zones, CPU count).
-    reconstruction_workers: int | None = None
     # Overload protection (repro.middleware.overload): admission
     # control on round launch, the solve-deadline circuit breaker and
     # the graceful-degradation ladder.  Every feature defaults off, so
@@ -208,13 +196,6 @@ class BrokerConfig:
             raise ValueError("report_deadline_s must be positive")
         if self.report_timeout_s <= 0:
             raise ValueError("report_timeout_s must be positive")
-        if self.solver_engine not in ("fast", "reference"):
-            raise ValueError(f"unknown solver_engine {self.solver_engine!r}")
-        if (
-            self.reconstruction_workers is not None
-            and self.reconstruction_workers < 1
-        ):
-            raise ValueError("reconstruction_workers must be >= 1")
 
 
 @dataclass(frozen=True)

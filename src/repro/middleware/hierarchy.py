@@ -22,7 +22,7 @@ from ..network.bus import MessageBus
 from ..network.links import LTE, LinkModel
 from ..sensors.base import Environment
 from .config import BrokerConfig, HierarchyConfig
-from .localcloud import LocalCloud, LocalCloudResult, solve_pending_rounds
+from .localcloud import LocalCloud, LocalCloudResult
 from .rounds import ZoneRoundDriver, ZoneSchedule
 
 __all__ = ["GlobalEstimate", "Hierarchy"]
@@ -147,10 +147,8 @@ class Hierarchy:
             own policy.
         """
         # Collect every zone serially (bus traffic + RNG draws), then
-        # solve the flat batch of pending rounds — across a thread pool
-        # when the broker config enables parallel reconstruction — and
-        # finalise serially in zone order.  The phase split keeps the
-        # global estimate bit-identical whether or not the pool is used.
+        # solve the flat batch of pending rounds and finalise in zone
+        # order.  The solve phase reads only the collected inputs.
         pending_by_zone: dict[int, list] = {}
         for zone in self.zone_grid:
             lc = self.localclouds[zone.zone_id]
@@ -168,7 +166,7 @@ class Hierarchy:
             for zone in self.zone_grid
             for pair in pending_by_zone[zone.zone_id]
         ]
-        solved_flat = solve_pending_rounds(flat, self.broker_config)
+        solved_flat = [broker.solve_round(pending) for broker, pending in flat]
 
         zone_results: dict[int, LocalCloudResult] = {}
         subfields: dict[int, SpatialField] = {}

@@ -372,8 +372,8 @@ class NanoCloud:
         """Collection phase only (heartbeat + membership + commanding).
 
         Used by the LocalCloud/hierarchy layers to gather every zone's
-        measurements serially before fanning the solve phase over a
-        thread pool; see :meth:`repro.middleware.broker.Broker.solve_round`.
+        measurements before any solve runs; see
+        :meth:`repro.middleware.broker.Broker.solve_round`.
         Returns the broker's pending-round record.
         """
         broker = self.prepare_round(timestamp)

@@ -16,8 +16,8 @@ machine driven by the discrete-event clock:
   or rotate to the next co-located candidate; a *report deadline* event
   bounds the wait — when it fires, the round solves with whatever
   arrived (partial-report solve) after infrastructure fallback.
-- **SOLVING/FINALIZED**: the pure-numeric solve (thread-poolable, PR 2)
-  and the serial state adaptation, then a round-completed callback.
+- **SOLVING/FINALIZED**: the pure-numeric solve and the serial state
+  adaptation, then a round-completed callback.
 
 One :class:`ZoneRoundDriver` runs one zone (LocalCloud) on its own
 period and phase offset, so zones desynchronise instead of marching
@@ -45,7 +45,7 @@ from ..analysis import contracts
 from ..network.message import Message, MessageKind
 from ..sensors.base import Environment
 from .broker import Broker, _Collected, _RoundPlan, _RoundTelemetry
-from .localcloud import LocalCloud, LocalCloudResult, solve_pending_rounds
+from .localcloud import LocalCloud, LocalCloudResult
 from .nanocloud import NanoCloud
 from .node import MobileNode
 from .overload import OverloadController, RoundDirectives
@@ -633,7 +633,7 @@ class ZoneRoundDriver:
                 self.state = RoundState.IDLE
                 return
             pairs.append((broker, pending))
-        solved = solve_pending_rounds(pairs, self.lc.config)
+        solved = [broker.solve_round(pending) for broker, pending in pairs]
         result = self.lc.finish_round(pairs, solved, self._started_at)
         if self.cloud_address is not None:
             self.lc.report_upward(self.cloud_address, result, now)

@@ -225,16 +225,36 @@ def encode_wire(message: Message) -> bytes:
 
 
 def decode_wire_body(body: bytes) -> Message:
-    """Decode one frame *body* (the bytes after the length prefix)."""
-    obj = json.loads(body.decode("utf-8"))
-    return Message(
-        kind=MessageKind(obj["kind"]),
-        source=obj["source"],
-        destination=obj["destination"],
-        payload=_unjsonify(obj.get("payload") or {}),
-        payload_values=int(obj.get("payload_values", 1)),
-        timestamp=float(obj.get("timestamp", 0.0)),
-    )
+    """Decode one frame *body* (the bytes after the length prefix).
+
+    The body comes off a socket, so anything malformed — bad UTF-8 or
+    JSON, a non-object body or payload, a missing or mistyped field, a
+    broken packed array — raises :class:`ValueError` and nothing else:
+    that is the one error a peer handler catches to drop the stream.
+    """
+    try:
+        obj = json.loads(body.decode("utf-8"))
+        if not isinstance(obj, dict):
+            raise ValueError("wire body must be a JSON object")
+        source, destination = obj["source"], obj["destination"]
+        if not isinstance(source, str) or not isinstance(destination, str):
+            raise ValueError("source and destination must be strings")
+        payload = _unjsonify(obj.get("payload") or {})
+        if not isinstance(payload, dict):
+            raise ValueError("wire payload must be a JSON object")
+        return Message(
+            kind=MessageKind(obj["kind"]),
+            source=source,
+            destination=destination,
+            payload=payload,
+            payload_values=int(obj.get("payload_values", 1)),
+            timestamp=float(obj.get("timestamp", 0.0)),
+        )
+    except (
+        KeyError, TypeError, AttributeError, IndexError, OverflowError,
+        RecursionError,
+    ) as exc:
+        raise ValueError(f"malformed wire body: {exc!r}") from exc
 
 
 class WireDecoder:

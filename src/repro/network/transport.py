@@ -12,10 +12,10 @@ architecture:
 
 - :class:`SimTransport` is the in-process simulation backend — the
   pre-refactor :class:`repro.network.bus.MessageBus`, re-expressed under
-  the interface and held bit-identical to the frozen copy in
-  :mod:`repro.network.reference` by a Hypothesis pin (fault injection,
-  backpressure, ``latency_mode`` and TrafficStats accounting all
-  preserved).
+  the interface and held bit-identical to the frozen pre-refactor copy
+  the test suite keeps as its oracle (``tests/oracles/bus.py``) by a
+  Hypothesis pin (fault injection, backpressure, ``latency_mode`` and
+  TrafficStats accounting all preserved).
 - :class:`repro.network.asyncio_transport.AsyncioTransport` carries the
   same Endpoint/topic API over real sockets, with deliveries scheduled
   on a :class:`repro.sim.wallclock.WallClock` and remote peers speaking
@@ -107,7 +107,7 @@ class SimTransport(MessageBus):
     accounting — re-expressed under the transport interface.  The
     Hypothesis pin in ``tests/network/test_transport_identity.py`` runs
     identical seeded deployments on this backend and on the frozen
-    pre-refactor copy (:mod:`repro.network.reference.bus`) and requires
+    pre-refactor copy (``tests/oracles/bus.py``) and requires
     bit-identical estimates and ``losses_by_reason``; the subclass
     deliberately adds nothing, so the pin can never drift.
     """

@@ -11,14 +11,14 @@ advances everything with the vectorized mobility steps of
 Determinism contract
 --------------------
 The array core is not a different simulation, it is the *same*
-simulation evaluated in bulk.  ``engine="object"`` preserves the
-object-per-node path (real ``NodeState`` objects stepped one at a time
-through the scalar mobility models, scalar noise draws); ``engine="vector"``
-is the array path.  Both consume identical RNG streams — chunked draws
+simulation evaluated in bulk: real ``NodeState`` objects stepped one at
+a time through the scalar mobility models, with one scalar noise draw
+per report, would give the same bits.  Chunked draws
 (``standard_normal((k, 2))``, ``random((k, 4))``) advance a Generator
-exactly like the equivalent scalar sequence — so the two engines are
-bit-identical, which ``tests/sim/test_population.py`` pins with
-Hypothesis the same way ``engine="reference"`` pins the fast solvers.
+exactly like the equivalent scalar sequence.  The object-per-node
+stepper lives with the tests as their oracle
+(``tests/oracles/population.py``), and ``tests/sim/test_population.py``
+pins the arrays to it with Hypothesis.
 
 Streams are split with ``SeedSequence.spawn`` (via
 :func:`repro.core.registry.spawn_shard_seeds`): one child for
@@ -30,16 +30,13 @@ stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.registry import spawn_shard_seeds
 from ..mobility.models import (
     MODE_NAMES,
-    GaussMarkov,
-    RandomWaypoint,
-    StaticPlacement,
     gauss_markov_step_arrays,
     mode_codes_from_speed,
     random_waypoint_new_legs,
@@ -47,7 +44,6 @@ from ..mobility.models import (
     static_step_arrays,
 )
 from ..network.frames import ZoneReportFrame
-from ..sensors.base import NodeState
 from ..sensors.noise import (
     STANDARD_TIERS,
     QualityTier,
@@ -58,7 +54,6 @@ from ..sensors.noise import (
 __all__ = ["PopulationConfig", "NodePopulation"]
 
 _MOBILITIES = ("static", "random_waypoint", "gauss_markov")
-_ENGINES = ("vector", "object")
 
 
 @dataclass(frozen=True)
@@ -84,7 +79,6 @@ class PopulationConfig:
     base_noise_std: float = 0.5
     tiers: tuple[QualityTier, ...] = STANDARD_TIERS
     seed: int = 0
-    engine: str = "vector"
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -102,10 +96,6 @@ class PopulationConfig:
             raise ValueError(
                 f"unknown mobility {self.mobility!r}; expected one of "
                 f"{_MOBILITIES}"
-            )
-        if self.engine not in _ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; expected one of {_ENGINES}"
             )
         if self.dt <= 0:
             raise ValueError("dt must be positive")
@@ -125,14 +115,6 @@ class PopulationConfig:
     @property
     def cells_per_zone(self) -> int:
         return self.zone_width * self.zone_height
-
-
-@dataclass
-class _ObjectMirror:
-    """The preserved object-per-node path (``engine="object"``)."""
-
-    states: list[NodeState] = dataclass_field(default_factory=list)
-    model: object = None
 
 
 class NodePopulation:
@@ -199,56 +181,7 @@ class NodePopulation:
         self.mode[:] = mode_codes_from_speed(self.speed)
         self.zone_id = self._zones_from_positions()
 
-        self._mirror: _ObjectMirror | None = None
-        if config.engine == "object":
-            self._mirror = self._build_mirror()
-
     # -- construction helpers ------------------------------------------
-
-    def _build_mirror(self) -> _ObjectMirror:
-        cfg = self.config
-        model: StaticPlacement | RandomWaypoint | GaussMarkov
-        if cfg.mobility == "static":
-            model = StaticPlacement(cfg.width, cfg.height)
-        elif cfg.mobility == "random_waypoint":
-            model = RandomWaypoint(
-                cfg.width,
-                cfg.height,
-                speed_range=cfg.speed_range,
-                pause_range=cfg.pause_range,
-            )
-            model._rng = self._mob_rng  # share the population stream
-        else:
-            model = GaussMarkov(
-                cfg.width,
-                cfg.height,
-                mean_speed=cfg.mean_speed,
-                alpha=cfg.alpha,
-                speed_std=cfg.speed_std,
-                heading_std=cfg.heading_std,
-            )
-            model._rng = self._mob_rng
-        states = []
-        for i in range(cfg.n_nodes):
-            state = NodeState(
-                x=float(self.x[i]),
-                y=float(self.y[i]),
-                speed=float(self.speed[i]),
-                heading=float(self.heading[i]),
-                mode=MODE_NAMES[int(self.mode[i])],
-            )
-            if cfg.mobility == "random_waypoint":
-                # Mirror the pre-drawn initial leg so the lazy _new_leg
-                # branch never fires and the streams stay aligned.
-                state._rwp_target = (  # type: ignore[attr-defined]
-                    float(self.target_x[i]),
-                    float(self.target_y[i]),
-                )
-                state._rwp_pause = float(self.pause_next[i])  # type: ignore[attr-defined]
-                state._rwp_speed = float(self.leg_speed[i])  # type: ignore[attr-defined]
-                state._rwp_pause_left = 0.0  # type: ignore[attr-defined]
-            states.append(state)
-        return _ObjectMirror(states=states, model=model)
 
     def _zones_from_positions(self) -> np.ndarray:
         cfg = self.config
@@ -292,13 +225,6 @@ class NodePopulation:
 
     def tick(self) -> None:
         """Advance every node by ``config.dt`` and refresh zone ids."""
-        if self._mirror is not None:
-            self._tick_object()
-        else:
-            self._tick_vector()
-        self.zone_id = self._zones_from_positions()
-
-    def _tick_vector(self) -> None:
         cfg = self.config
         if cfg.mobility == "static":
             static_step_arrays(self.speed, self.mode)
@@ -338,18 +264,7 @@ class NodePopulation:
                 speed_range=cfg.speed_range,
                 pause_range=cfg.pause_range,
             )
-
-    def _tick_object(self) -> None:
-        assert self._mirror is not None
-        cfg = self.config
-        model = self._mirror.model
-        for i, state in enumerate(self._mirror.states):
-            model.step(state, cfg.dt)  # type: ignore[attr-defined]
-            self.x[i] = state.x
-            self.y[i] = state.y
-            self.speed[i] = state.speed
-            self.heading[i] = state.heading
-            self.mode[i] = MODE_NAMES.index(state.mode)
+        self.zone_id = self._zones_from_positions()
 
     # -- sensing -------------------------------------------------------
 
@@ -371,9 +286,8 @@ class NodePopulation:
         ``truth[i, j]``.  An optional
         :class:`repro.sensors.faults.SensorFaultInjector` corrupts the
         afflicted subset *after* honest noise, exactly like
-        ``MobileNode.read_sensor`` — per-model streams make the call
-        order across nodes irrelevant, but both engines apply it in the
-        same (selection) order anyway.
+        ``MobileNode.read_sensor``, in selection order (per-model
+        streams make the call order across nodes irrelevant).
         """
         truth = np.asarray(truth, dtype=float)
         if truth.shape != (self.config.width, self.config.height):
@@ -394,14 +308,7 @@ class NodePopulation:
             gi, gj = self.grid_indices(picked)
             truth_vals = truth[gi, gj]
             stds = self.noise_std[picked].copy()
-            if self._mirror is not None:
-                values = np.empty(m)
-                for k in range(m):
-                    values[k] = (
-                        truth_vals[k] + stds[k] * zrng.standard_normal()
-                    )
-            else:
-                values = batched_readings(truth_vals, stds, zrng)
+            values = batched_readings(truth_vals, stds, zrng)
             if fault_injector is not None:
                 for k in range(m):
                     name = self.node_name(int(picked[k]))

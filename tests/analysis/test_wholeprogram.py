@@ -172,9 +172,9 @@ class TestRPR010AsyncBlocking:
         )
         assert findings == []
 
-    def test_shipped_tree_zero(self):
+    def test_shipped_tree_zero(self, shipped_model):
         findings, scanned, _model = analyze_paths(
-            [PKG_ROOT], select=["RPR010"]
+            [PKG_ROOT], select=["RPR010"], model=shipped_model
         )
         assert scanned > 50
         assert _active(findings) == [], "\n".join(
@@ -348,9 +348,9 @@ class TestRPR011TransitiveImpurity:
         assert [f.rule for f in active] == ["RPR011"]
         assert active[0].path.endswith("mega.py")
 
-    def test_shipped_tree_zero(self):
+    def test_shipped_tree_zero(self, shipped_model):
         findings, _scanned, _model = analyze_paths(
-            [PKG_ROOT], select=["RPR011"]
+            [PKG_ROOT], select=["RPR011"], model=shipped_model
         )
         assert _active(findings) == [], "\n".join(
             f.render() for f in _active(findings)
@@ -508,9 +508,9 @@ class TestRPR012SeedLineage:
         )
         assert findings == []
 
-    def test_shipped_tree_zero(self):
+    def test_shipped_tree_zero(self, shipped_model):
         findings, _scanned, _model = analyze_paths(
-            [PKG_ROOT], select=["RPR012"]
+            [PKG_ROOT], select=["RPR012"], model=shipped_model
         )
         assert _active(findings) == [], "\n".join(
             f.render() for f in _active(findings)
@@ -612,9 +612,9 @@ class TestRPR013PubsubFlow:
         assert _active(findings) == []
         assert [f.suppressed for f in findings] == [True]
 
-    def test_shipped_tree_zero(self):
+    def test_shipped_tree_zero(self, shipped_model):
         findings, _scanned, _model = analyze_paths(
-            [PKG_ROOT], select=["RPR013"]
+            [PKG_ROOT], select=["RPR013"], model=shipped_model
         )
         assert _active(findings) == [], "\n".join(
             f.render() for f in _active(findings)
@@ -709,10 +709,12 @@ class TestPlantedViolations:
 
 
 class TestShippedTreeGates:
-    def test_zero_unsuppressed_findings_all_rules(self):
+    def test_zero_unsuppressed_findings_all_rules(self, shipped_model):
         """PR 10's acceptance gate: the full pass (per-file + whole-
         program) is clean on the shipped package."""
-        findings, scanned, _model = analyze_paths([PKG_ROOT])
+        findings, scanned, _model = analyze_paths(
+            [PKG_ROOT], model=shipped_model
+        )
         active = _active(findings)
         assert scanned > 50
         assert active == [], "\n".join(f.render() for f in active)

@@ -19,7 +19,7 @@ from repro.core.basis import dct_basis
 from repro.core.chs import chs
 from repro.core.incremental import IncrementalQR
 from repro.core.omp import omp
-from repro.core.reference import omp_reference
+from tests.oracles.solvers import omp_reference
 
 # The package re-exports the ``omp`` function under the module's name.
 omp_module = importlib.import_module("repro.core.omp")

@@ -18,7 +18,7 @@ from repro.core.chs import chs
 from repro.core.least_squares import gls_solve
 from repro.core.omp import omp
 from repro.core.reconstruction import reconstruct
-from repro.core.reference import omp_reference
+from tests.oracles.solvers import omp_reference
 from repro.core.robust import robust_reconstruct
 
 TOL = 1e-10

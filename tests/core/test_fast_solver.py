@@ -4,8 +4,8 @@ The PR's contract is that every fast path — matrix-free adjoint
 correlation, operator bases, incremental QR refits, argpartition top-k —
 is a pure performance change: same supports, same coefficients (to
 1e-8), same reconstructions as the seed implementation kept verbatim in
-:mod:`repro.core.reference`.  Hypothesis drives randomised problem
-instances through both engines and compares.
+:mod:`tests.oracles.solvers`.  Hypothesis drives randomised problem
+instances through both and compares.
 """
 
 import numpy as np
@@ -24,7 +24,8 @@ from repro.core.incremental import IncrementalQR, top_k_indices
 from repro.core.omp import omp
 from repro.core.operators import DCT2Operator, DCTOperator
 from repro.core.reconstruction import reconstruct
-from repro.core.reference import chs_reference, omp_reference
+from tests.oracles.solvers import chs_reference, omp_reference
+from tests.oracles.substitution import use_reference_solvers
 
 
 def _problem(n, m, k, seed, noise=0.0):
@@ -237,17 +238,20 @@ class TestCenterHoist:
             )
             assert np.array_equal(centered.support, manual.support)
 
-    def test_reconstruct_engines_agree(self):
-        for solver in ("chs", "omp"):
-            phi, _, x_s, locations = _problem(48, 20, 4, 11, noise=0.02)
-            fast = reconstruct(
+    def test_reconstruct_engines_agree(self, monkeypatch):
+        phi, _, x_s, locations = _problem(48, 20, 4, 11, noise=0.02)
+        fast = {
+            solver: reconstruct(
                 x_s, locations, phi, solver=solver, sparsity=5, center=True
             )
+            for solver in ("chs", "omp")
+        }
+        use_reference_solvers(monkeypatch)
+        for solver, expected in fast.items():
             ref = reconstruct(
-                x_s, locations, phi, solver=solver, sparsity=5, center=True,
-                engine="reference",
+                x_s, locations, phi, solver=solver, sparsity=5, center=True
             )
-            assert np.allclose(fast.x_hat, ref.x_hat, atol=1e-8)
+            assert np.allclose(expected.x_hat, ref.x_hat, atol=1e-8)
 
     def test_operator_reconstruct_2d(self):
         rng = np.random.default_rng(5)

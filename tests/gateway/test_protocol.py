@@ -192,6 +192,10 @@ class TestFrameProperties:
     )
     @settings(max_examples=80, deadline=None)
     def test_encode_read_round_trip(self, size, seed, opcode, mask):
+        if opcode in (protocol.OP_PING, protocol.OP_PONG):
+            # RFC 6455 section 5.5: a longer control frame is a protocol
+            # error (TestProtocolErrors), not a message.
+            size = min(size, protocol.MAX_CONTROL_PAYLOAD)
         payload = _payload(size, seed)
         frame = protocol.ws_encode(
             payload, opcode=opcode, mask=mask, rng=random.Random(seed)
@@ -205,6 +209,7 @@ class TestFrameProperties:
     )
     @settings(max_examples=20, deadline=None)
     def test_close_round_trip(self, size, seed, mask):
+        size = min(size, protocol.MAX_CONTROL_PAYLOAD)  # a control frame
         payload = _payload(size, seed)
         frame = protocol.ws_encode(
             payload, opcode=protocol.OP_CLOSE, mask=mask,
@@ -283,3 +288,150 @@ class TestFrameRegressions:
         assert _run(_decode_bounded(first + within)) == (
             protocol.OP_TEXT, b"abcdefgh",
         )
+
+
+def _frame(opcode: int, payload: bytes, *, fin: bool = True) -> bytes:
+    """One unmasked frame with a free FIN bit (``ws_encode`` always
+    sets it)."""
+    head = bytes([(0x80 if fin else 0x00) | opcode])
+    n = len(payload)
+    if n < 126:
+        return head + bytes([n]) + payload
+    if n < 1 << 16:
+        return head + bytes([126]) + n.to_bytes(2, "big") + payload
+    return head + bytes([127]) + n.to_bytes(8, "big") + payload
+
+
+async def _read_all(data: bytes, state, **kwargs):
+    """Every read of one stream through one state, until ``None``."""
+    reader = await _reader_for(data)
+    out = []
+    while True:
+        message = await asyncio.wait_for(
+            protocol.ws_read_message(reader, state=state, **kwargs),
+            timeout=5.0,
+        )
+        if message is None:
+            return out
+        out.append(message)
+
+
+class TestInterleavedControlFrames:
+    def test_ping_between_fragments_keeps_the_message(self):
+        data = (
+            _frame(protocol.OP_TEXT, b"abc", fin=False)
+            + _frame(protocol.OP_PING, b"hb")
+            + _frame(protocol.OP_CONT, b"def", fin=False)
+            + _frame(protocol.OP_PONG, b"")
+            + _frame(protocol.OP_CONT, b"ghi")
+        )
+        state = protocol.WsReadState()
+        assert _run(_read_all(data, state)) == [
+            (protocol.OP_PING, b"hb"),
+            (protocol.OP_PONG, b""),
+            (protocol.OP_TEXT, b"abcdefghi"),
+        ]
+        assert state.failure is None
+
+    def test_masked_fragments_around_a_ping(self):
+        rng = random.Random(4)
+
+        def masked(opcode, payload, fin=True):
+            frame = bytearray(
+                protocol.ws_encode(payload, opcode=opcode, mask=True, rng=rng)
+            )
+            if not fin:
+                frame[0] &= 0x7F
+            return bytes(frame)
+
+        data = (
+            masked(protocol.OP_BINARY, b"\x00\x01", fin=False)
+            + masked(protocol.OP_PING, b"p")
+            + masked(protocol.OP_CONT, b"\x02")
+        )
+        assert _run(_read_all(data, protocol.WsReadState())) == [
+            (protocol.OP_PING, b"p"),
+            (protocol.OP_BINARY, b"\x00\x01\x02"),
+        ]
+
+
+class TestProtocolErrors:
+    """Each of these fails the connection with 1002 instead of being
+    read as a message."""
+
+    def _fails(self, data: bytes) -> None:
+        state = protocol.WsReadState()
+        assert _run(_read_all(data, state)) == []
+        assert state.failure == protocol.CLOSE_PROTOCOL_ERROR
+
+    def test_close_code_value(self):
+        assert protocol.CLOSE_PROTOCOL_ERROR == 1002
+
+    def test_control_frame_over_125_bytes(self):
+        self._fails(_frame(protocol.OP_PING, b"x" * 300))
+        self._fails(_frame(protocol.OP_PONG, b"x" * 126))
+        self._fails(_frame(protocol.OP_CLOSE, b"\x03\xe8" + b"x" * 124))
+
+    def test_control_frame_at_125_bytes_is_fine(self):
+        state = protocol.WsReadState()
+        data = _frame(protocol.OP_PING, b"x" * 125)
+        assert _run(_read_all(data, state)) == [
+            (protocol.OP_PING, b"x" * 125)
+        ]
+        assert state.failure is None
+
+    def test_fragmented_control_frame(self):
+        self._fails(_frame(protocol.OP_PING, b"hb", fin=False))
+
+    @pytest.mark.parametrize("opcode", [0x3, 0x7, 0xB, 0xF])
+    def test_reserved_opcode(self, opcode):
+        self._fails(_frame(opcode, b"abc"))
+
+    @pytest.mark.parametrize(
+        "opcode", [protocol.OP_TEXT, protocol.OP_BINARY]
+    )
+    def test_new_message_inside_a_fragmented_one(self, opcode):
+        self._fails(
+            _frame(protocol.OP_TEXT, b"abc", fin=False)
+            + _frame(opcode, b"def")
+        )
+
+    def test_continuation_with_nothing_to_continue(self):
+        self._fails(_frame(protocol.OP_CONT, b"abc"))
+
+    def test_clean_stream_sets_no_failure(self):
+        state = protocol.WsReadState()
+        data = _frame(protocol.OP_TEXT, b"a") + _frame(protocol.OP_BINARY, b"b")
+        assert _run(_read_all(data, state)) == [
+            (protocol.OP_TEXT, b"a"),
+            (protocol.OP_BINARY, b"b"),
+        ]
+        assert state.failure is None
+
+
+def _unmask_per_byte(payload: bytes, key: bytes) -> bytes:
+    """RFC 6455 section 5.3, as written: octet i XOR key octet i mod 4."""
+    return bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+
+
+class TestUnmask:
+    @given(
+        size=st.one_of(
+            st.sampled_from(LENGTH_EDGES), st.integers(0, 600)
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        key=st.binary(min_size=4, max_size=4),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_equals_the_per_byte_definition(self, size, seed, key):
+        payload = _payload(size, seed)
+        unmasked = protocol.ws_unmask(payload, key)
+        assert unmasked == _unmask_per_byte(payload, key)
+        assert protocol.ws_unmask(unmasked, key) == payload
+
+    def test_encode_masks_with_the_helper(self):
+        frame = protocol.ws_encode(
+            b"payload", mask=True, rng=random.Random(9)
+        )
+        key, masked = frame[2:6], frame[6:]
+        assert masked == _unmask_per_byte(b"payload", key)

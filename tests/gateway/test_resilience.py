@@ -409,6 +409,73 @@ class TestLiveness:
         gw.clock.close()
 
 
+class TestProtocolErrors:
+    def test_oversized_ping_fails_the_connection_with_1002(self):
+        gw = make_gateway(ResilienceConfig())
+
+        async def scenario():
+            await gw.start()
+            device = _Device(gw.port, "/sensor/connect?x=1&y=1&id=loud")
+            joined = await device.connect()
+            node_id = joined["node_id"]
+            device.writer.write(
+                protocol.ws_encode(
+                    b"x" * 300, opcode=protocol.OP_PING,
+                    mask=True, rng=device.rng,
+                )
+            )
+            code, reason = await device.read_close(timeout=3.0)
+            assert code == protocol.CLOSE_PROTOCOL_ERROR
+            assert "protocol" in reason
+            assert gw.evictions["protocol"] == 1
+            assert node_id not in gw.sessions
+            await asyncio.sleep(0.05)
+            await gw.stop()
+
+        gw.clock.run_until_complete(scenario())
+        gw.clock.close()
+
+    def test_ping_between_fragments_keeps_the_reading(self):
+        gw = make_gateway(ResilienceConfig())
+
+        async def scenario():
+            await gw.start()
+            device = _Device(gw.port, "/sensor/connect?x=1&y=1&id=frag")
+            joined = await device.connect()
+            node_id = joined["node_id"]
+            text = json.dumps(
+                {"type": "reading", "value": 21.5, "noise_std": 0.4}
+            ).encode()
+            first = bytearray(
+                protocol.ws_encode(
+                    text[:10], mask=True, rng=device.rng
+                )
+            )
+            first[0] &= 0x7F  # FIN off: more fragments follow
+            ping = protocol.ws_encode(
+                b"hb", opcode=protocol.OP_PING, mask=True, rng=device.rng
+            )
+            last = protocol.ws_encode(
+                text[10:], opcode=protocol.OP_CONT, mask=True,
+                rng=device.rng,
+            )
+            device.writer.write(bytes(first) + ping + last)
+            await device.writer.drain()
+            for _ in range(100):
+                if gw.frames_in:
+                    break
+                await asyncio.sleep(0.01)
+            assert gw.frames_in == 1
+            assert node_id in gw.sessions
+            assert gw.evictions["protocol"] == 0
+            await device.close()
+            await asyncio.sleep(0.05)
+            await gw.stop()
+
+        gw.clock.run_until_complete(scenario())
+        gw.clock.close()
+
+
 class TestAdmission:
     def test_over_capacity_sheds_with_1013_and_503(self):
         gw = make_gateway(ResilienceConfig(max_sessions=1))

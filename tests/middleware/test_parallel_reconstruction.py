@@ -1,20 +1,22 @@
-"""Parallel zone reconstruction: bit-identical to serial, shared bases.
+"""Zone reconstruction across a deployment: shared bases, reference pin.
 
-The parallelism knob only fans the *solve* phase over threads;
-collection (bus + RNG) and finalisation (state mutation) stay serial,
-so two same-seeded deployments must produce byte-for-byte identical
-global estimates whether or not the pool is used — across multiple
-rounds, so the sparsity-adaptation state carries identically too.
+Every same-shaped broker solves against one registry basis.  The seed's
+reference arm (:mod:`tests.oracles.substitution`: the reference loops
+and a private dense basis per broker, patched in with ``monkeypatch``)
+gives the same global field as the shipped solvers over a full
+``sense_field`` round.
 """
 
 import numpy as np
-import pytest
 
 from repro.fields import urban_temperature_field
 from repro.middleware.api import SenseDroid
 from repro.middleware.config import BrokerConfig, HierarchyConfig
-from repro.middleware.localcloud import solve_pending_rounds
 from repro.sensors.base import Environment
+from tests.oracles.substitution import (
+    use_private_dense_bases,
+    use_reference_solvers,
+)
 
 
 def _deploy(broker_config, *, seed=123, zones=2, nodes=24):
@@ -30,129 +32,46 @@ def _deploy(broker_config, *, seed=123, zones=2, nodes=24):
     )
 
 
-class TestParallelEqualsSerial:
-    def test_global_fields_bit_identical_over_rounds(self):
-        serial = _deploy(BrokerConfig())
-        parallel = _deploy(
-            BrokerConfig(
-                parallel_reconstruction=True, reconstruction_workers=4
-            )
-        )
-        for _ in range(3):
-            a = serial.sense_field()
-            b = parallel.sense_field()
-            assert np.array_equal(a.field.grid, b.field.grid)
-            assert a.total_measurements == b.total_measurements
-
-    def test_zone_estimates_identical(self):
-        serial = _deploy(BrokerConfig())
-        parallel = _deploy(BrokerConfig(parallel_reconstruction=True))
-        ra = serial.sense_field()
-        rb = parallel.sense_field()
-        for zone_id, result_a in ra.zone_results.items():
-            result_b = rb.zone_results[zone_id]
-            for ea, eb in zip(result_a.nc_estimates, result_b.nc_estimates):
-                assert np.array_equal(ea.field.grid, eb.field.grid)
-                assert np.array_equal(
-                    ea.reconstruction.support, eb.reconstruction.support
-                )
-                assert ea.sparsity_estimate == eb.sparsity_estimate
-
-    def test_localcloud_round_parallel_identical(self):
-        # Parallelism inside one LocalCloud (multiple NCs per zone).
-        def build(parallel):
-            truth = urban_temperature_field(32, 16, rng=3)
-            env = Environment(fields={"temperature": truth})
-            return SenseDroid(
-                env,
-                hierarchy_config=HierarchyConfig(
-                    zones_x=1,
-                    zones_y=1,
-                    nodes_per_nanocloud=24,
-                    nanoclouds_per_localcloud=4,
-                ),
-                broker_config=BrokerConfig(
-                    parallel_reconstruction=parallel
-                ),
-                rng=99,
-            )
-
-        a = build(False).sense_field()
-        b = build(True).sense_field()
-        assert np.array_equal(a.field.grid, b.field.grid)
+def _brokers(system):
+    return [
+        nc.broker
+        for lc in system.hierarchy.localclouds.values()
+        for nc in lc.nanoclouds
+    ]
 
 
 class TestSharedBasisRegistry:
     def test_same_shaped_brokers_share_one_basis_object(self):
-        system = _deploy(BrokerConfig())
-        brokers = [
-            nc.broker
-            for lc in system.hierarchy.localclouds.values()
-            for nc in lc.nanoclouds
-        ]
+        brokers = _brokers(_deploy(BrokerConfig()))
         assert len(brokers) >= 2
         first = brokers[0]._basis()
         for broker in brokers[1:]:
             assert broker._basis() is first
 
-    def test_reference_engine_builds_private_dense_bases(self):
-        system = _deploy(BrokerConfig(solver_engine="reference"))
-        brokers = [
-            nc.broker
-            for lc in system.hierarchy.localclouds.values()
-            for nc in lc.nanoclouds
-        ]
-        a, b = brokers[0]._basis(), brokers[1]._basis()
-        assert isinstance(a, np.ndarray)
-        assert a is not b
-
     def test_dense_registry_basis_when_operators_disabled(self):
-        system = _deploy(BrokerConfig(operator_basis=False))
-        brokers = [
-            nc.broker
-            for lc in system.hierarchy.localclouds.values()
-            for nc in lc.nanoclouds
-        ]
+        brokers = _brokers(_deploy(BrokerConfig(operator_basis=False)))
         a, b = brokers[0]._basis(), brokers[1]._basis()
         assert isinstance(a, np.ndarray)
         assert a is b
         assert not a.flags.writeable
 
+    def test_reference_engine_builds_private_dense_bases(self, monkeypatch):
+        # The PERF-ROUND baseline arm: every broker builds and owns its
+        # dense basis, as the seed did, instead of sharing the registry's.
+        brokers = _brokers(_deploy(BrokerConfig()))
+        use_private_dense_bases(monkeypatch, brokers)
+        a, b = brokers[0]._basis(), brokers[1]._basis()
+        assert isinstance(a, np.ndarray)
+        assert a is not b
+        assert np.array_equal(a, b)
+        assert a.flags.writeable  # private, not a frozen registry view
+
 
 class TestReferenceEngineEndToEnd:
-    def test_reference_round_matches_fast_round(self):
+    def test_reference_round_matches_fast_round(self, monkeypatch):
         fast = _deploy(BrokerConfig()).sense_field()
-        ref = _deploy(BrokerConfig(solver_engine="reference")).sense_field()
+        system = _deploy(BrokerConfig())
+        use_reference_solvers(monkeypatch)
+        use_private_dense_bases(monkeypatch, _brokers(system))
+        ref = system.sense_field()
         assert np.allclose(ref.field.grid, fast.field.grid, atol=1e-8)
-
-
-class TestSolvePendingRounds:
-    def test_preserves_input_order(self):
-        system = _deploy(BrokerConfig(parallel_reconstruction=True))
-        hierarchy = system.hierarchy
-        env = system.env
-        pairs = []
-        for lc in hierarchy.localclouds.values():
-            pairs.extend(lc.collect_rounds(env, 0.0))
-        serial = [broker.solve_round(p) for broker, p in pairs]
-        pooled = solve_pending_rounds(pairs, hierarchy.broker_config)
-        for (_, xa), (_, xb) in zip(serial, pooled):
-            assert np.array_equal(xa, xb)
-        # Leave the brokers consistent for garbage collection: finalise.
-        cursor = 0
-        for lc in hierarchy.localclouds.values():
-            n = len(lc.nanoclouds)
-            lc.finish_round(
-                pairs[cursor : cursor + n], pooled[cursor : cursor + n], 0.0
-            )
-            cursor += n
-
-
-class TestConfigValidation:
-    def test_rejects_bad_engine(self):
-        with pytest.raises(ValueError):
-            BrokerConfig(solver_engine="warp")
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            BrokerConfig(reconstruction_workers=0)

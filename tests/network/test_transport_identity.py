@@ -5,7 +5,7 @@ backend-agnostic :class:`repro.network.transport.Transport` protocol.
 The sim backend, :class:`repro.network.transport.SimTransport`, must be
 the pre-refactor bus *bit for bit*: this module property-tests paired
 seeded deployments — one on the frozen pre-refactor oracle
-(:class:`repro.network.reference.ReferenceMessageBus`), one on
+(:mod:`tests.oracles.bus`, moved verbatim out of ``src``), one on
 ``SimTransport`` — through full event-driven sensing rounds with link
 latency, channel loss and bounded-inbox backpressure, and requires
 identical estimates and identical loss accounting.
@@ -22,7 +22,7 @@ from repro.middleware.config import BrokerConfig, HierarchyConfig
 from repro.network.bus import MessageBus
 from repro.network.links import WIFI
 from repro.network.message import Message, MessageKind
-from repro.network.reference import ReferenceMessageBus
+from tests.oracles.bus import MessageBus as ReferenceMessageBus
 from repro.network.transport import SimTransport, Transport
 from repro.sensors.base import Environment
 from repro.sim.clock import SimClock

@@ -5,10 +5,13 @@ The codec (:mod:`repro.network.frames`) carries :class:`Message` objects
 real TCP streams via ``encode_wire`` / :class:`WireDecoder`.
 """
 
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.frames import (
     MAX_WIRE_FRAME_BYTES,
@@ -149,3 +152,189 @@ class TestWireDecoder:
         assert message.payload == {}
         assert message.payload_values == 1
         assert message.timestamp == 0.0
+
+
+class TestMalformedBodies:
+    """A well-framed but malformed body raises ValueError, the one
+    error a peer handler catches — never TypeError or KeyError."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param(b"[]", id="list-body"),
+            pytest.param(b"1", id="number-body"),
+            pytest.param(b"null", id="null-body"),
+            pytest.param(b'"text"', id="string-body"),
+            pytest.param(b"\xff\xfe", id="bad-utf8"),
+            pytest.param(b"{", id="bad-json"),
+            pytest.param(
+                b'{"kind":"sense_command","destination":"b"}',
+                id="missing-source",
+            ),
+            pytest.param(
+                b'{"kind":"sense_command","source":"a"}',
+                id="missing-destination",
+            ),
+            pytest.param(
+                b'{"source":"a","destination":"b"}', id="missing-kind"
+            ),
+            pytest.param(
+                b'{"kind":"nope","source":"a","destination":"b"}',
+                id="unknown-kind",
+            ),
+            pytest.param(
+                b'{"kind":"sense_command","source":1,"destination":"b"}',
+                id="number-source",
+            ),
+            pytest.param(
+                b'{"kind":"sense_command","source":"a","destination":"b",'
+                b'"payload_values":[1]}',
+                id="list-payload-values",
+            ),
+            pytest.param(
+                b'{"kind":"sense_command","source":"a","destination":"b",'
+                b'"timestamp":{}}',
+                id="object-timestamp",
+            ),
+            pytest.param(
+                b'{"kind":"sense_command","source":"a","destination":"b",'
+                b'"payload":[1,2]}',
+                id="list-payload",
+            ),
+            pytest.param(
+                b'{"kind":"sense_command","source":"a","destination":"b",'
+                b'"payload":"x"}',
+                id="string-payload",
+            ),
+            pytest.param(
+                b'{"kind":"sense_command","source":"a","destination":"b",'
+                b'"payload":{"v":{"__ndarray__":{"dtype":"<f8"}}}}',
+                id="array-missing-fields",
+            ),
+            pytest.param(
+                b'{"kind":"sense_command","source":"a","destination":"b",'
+                b'"payload":{"v":{"__ndarray__":{"dtype":"zz","shape":[1],'
+                b'"data":"AAAAAAAAAAA="}}}}',
+                id="array-bad-dtype",
+            ),
+            pytest.param(
+                b'{"kind":"sense_command","source":"a","destination":"b",'
+                b'"payload":{"v":{"__ndarray__":{"dtype":"<f8","shape":[3],'
+                b'"data":"AAAAAAAAAAA="}}}}',
+                id="array-bad-shape",
+            ),
+            pytest.param(b"[" * 100_000, id="deep-nesting"),
+        ],
+    )
+    def test_raises_value_error(self, body):
+        with pytest.raises(ValueError):
+            decode_wire_body(body)
+        with pytest.raises(ValueError):
+            WireDecoder().feed(struct.pack(">I", len(body)) + body)
+
+
+def _json_values():
+    scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**70), 2**70),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=8),
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        ),
+        max_leaves=12,
+    )
+
+
+_FIELDS = ["kind", "source", "destination", "payload", "payload_values",
+           "timestamp"]
+
+
+def _bodies():
+    """Bodies near the real shape (each field present or not, any JSON
+    value) plus arbitrary JSON values and arbitrary bytes."""
+    kinds = st.sampled_from([k.value for k in MessageKind])
+    near = st.fixed_dictionaries(
+        {},
+        optional={
+            "kind": st.one_of(kinds, _json_values()),
+            "source": st.one_of(st.text(min_size=1, max_size=6),
+                                _json_values()),
+            "destination": st.one_of(st.text(min_size=1, max_size=6),
+                                     _json_values()),
+            "payload": _json_values(),
+            "payload_values": _json_values(),
+            "timestamp": _json_values(),
+        },
+    )
+    return st.one_of(
+        near.map(lambda d: json.dumps(d).encode()),
+        _json_values().map(lambda v: json.dumps(v).encode()),
+        st.binary(max_size=64),
+    )
+
+
+def _scalar_messages():
+    kinds = st.sampled_from(list(MessageKind))
+    payload = st.dictionaries(
+        st.text(max_size=6),
+        st.one_of(st.integers(-1000, 1000), st.text(max_size=6),
+                  st.booleans(), st.none()),
+        max_size=4,
+    )
+    return st.builds(
+        Message,
+        kind=kinds,
+        source=st.text(min_size=1, max_size=6),
+        destination=st.text(min_size=1, max_size=6),
+        payload=payload,
+        payload_values=st.integers(0, 50),
+        timestamp=st.floats(0, 1e6),
+    )
+
+
+class TestWireDecoderProperties:
+    @given(
+        messages=st.lists(_scalar_messages(), min_size=1, max_size=5),
+        cuts=st.lists(st.integers(0, 4096), max_size=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_split_gives_the_same_messages(self, messages, cuts):
+        stream = b"".join(encode_wire(m) for m in messages)
+        whole = WireDecoder().feed(stream)
+        bounds = sorted({c % (len(stream) + 1) for c in cuts})
+        decoder = WireDecoder()
+        pieces = []
+        start = 0
+        for end in bounds + [len(stream)]:
+            pieces.extend(decoder.feed(stream[start:end]))
+            start = end
+        assert decoder.buffered == 0
+        key = [
+            (m.kind, m.source, m.destination, m.payload, m.payload_values,
+             m.timestamp)
+            for m in messages
+        ]
+        for decoded in (whole, pieces):
+            assert [
+                (m.kind, m.source, m.destination, m.payload,
+                 m.payload_values, m.timestamp)
+                for m in decoded
+            ] == key
+
+    @given(body=_bodies())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_framed_bodies_give_message_or_value_error(self, body):
+        frame = struct.pack(">I", len(body)) + body
+        try:
+            decoded = WireDecoder().feed(frame)
+        except ValueError:
+            return
+        (message,) = decoded
+        assert isinstance(message, Message)
+        assert isinstance(message.payload, dict)

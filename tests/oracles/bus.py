@@ -40,9 +40,9 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..faults import FaultInjector
-from ..links import WIFI, LinkModel
-from ..message import Message, MessageKind
+from repro.network.faults import FaultInjector
+from repro.network.links import WIFI, LinkModel
+from repro.network.message import Message, MessageKind
 
 __all__ = ["TrafficStats", "MessageBus", "Endpoint", "DROP_POLICIES"]
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .least_squares import gls_solve, ols_solve
+from repro.core.least_squares import gls_solve, ols_solve
 
 __all__ = ["chs_reference", "omp_reference"]
 
@@ -40,7 +40,7 @@ def chs_reference(
     interpolator=None,
 ):
     """Seed CHS implementation (dense analysis, from-scratch refits)."""
-    from .chs import CHSResult, zero_fill_interpolate
+    from repro.core.chs import CHSResult, zero_fill_interpolate
 
     if interpolator is None:
         interpolator = zero_fill_interpolate
@@ -118,7 +118,7 @@ def omp_reference(
     covariance: np.ndarray | None = None,
 ):
     """Seed OMP implementation (from-scratch least-squares refits)."""
-    from .omp import OMPResult
+    from repro.core.omp import OMPResult
 
     phi_tilde = np.asarray(phi_tilde, dtype=float)
     x_s = np.asarray(x_s, dtype=float).ravel()

@@ -1,11 +1,12 @@
-"""Struct-of-arrays population: vector engine pinned to the object path.
+"""Struct-of-arrays population: the array core pinned to the object path.
 
 The array core is only allowed to exist because it is *provably* the
-same simulation: ``engine="vector"`` must match ``engine="object"``
-(real NodeState objects stepped through the scalar mobility models)
+same simulation: it must match the object-per-node oracle
+(:mod:`tests.oracles.population` — real NodeState objects stepped
+through the scalar mobility models, one scalar noise draw per report)
 bit-for-bit — positions, velocities, modes, zone ids and every sensed
-value — the same oracle pattern ``engine="reference"`` provides for the
-fast solvers.
+value.  Each pair below is two same-seeded populations; one is stepped
+by the array core, the other by the oracle on its own streams.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.sensors.faults import (
     afflict_fraction,
 )
 from repro.sim.population import NodePopulation, PopulationConfig
+from tests.oracles.population import ObjectStepper, scalar_sense_round
 
 
 def _pair(seed: int, mobility: str, **overrides):
@@ -35,14 +37,14 @@ def _pair(seed: int, mobility: str, **overrides):
         seed=seed,
     )
     base.update(overrides)
-    vector = NodePopulation(PopulationConfig(engine="vector", **base))
-    objects = NodePopulation(PopulationConfig(engine="object", **base))
+    vector = NodePopulation(PopulationConfig(**base))
+    objects = ObjectStepper(NodePopulation(PopulationConfig(**base)))
     return vector, objects
 
 
-def _assert_identical(vector: NodePopulation, objects: NodePopulation) -> None:
+def _assert_identical(vector: NodePopulation, objects: ObjectStepper) -> None:
     for attr in ("x", "y", "speed", "heading", "mode", "zone_id"):
-        a, b = getattr(vector, attr), getattr(objects, attr)
+        a, b = getattr(vector, attr), getattr(objects.population, attr)
         assert np.array_equal(a, b), f"{attr} diverged"
 
 
@@ -53,6 +55,13 @@ class TestEngineBitIdentity:
     def test_construction_identical(self, mobility):
         vector, objects = _pair(11, mobility)
         _assert_identical(vector, objects)
+        # The oracle's NodeStates start exactly where the arrays do.
+        for i, state in enumerate(objects.states):
+            assert (state.x, state.y) == (vector.x[i], vector.y[i])
+            assert (state.speed, state.heading) == (
+                vector.speed[i], vector.heading[i],
+            )
+            assert state.mode == MODE_NAMES[int(vector.mode[i])]
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=15, deadline=None)
@@ -79,9 +88,18 @@ class TestEngineBitIdentity:
             objects.tick()
             _assert_identical(vector, objects)
 
+    def test_static_ticks_identical(self):
+        vector, objects = _pair(5, "static")
+        for _ in range(3):
+            vector.tick()
+            objects.tick()
+            _assert_identical(vector, objects)
+
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_sense_rounds_identical(self, seed):
+        # batched_readings (one noise chunk per zone) against the scalar
+        # standard_normal loop on a same-seeded zone stream.
         vector, objects = _pair(seed, "gauss_markov")
         rng = np.random.default_rng(123)
         truth = rng.normal(size=(32, 16))
@@ -91,8 +109,9 @@ class TestEngineBitIdentity:
             fv = vector.sense_round(
                 truth, round_index=round_index, reports_per_zone=16
             )
-            fo = objects.sense_round(
-                truth, round_index=round_index, reports_per_zone=16
+            fo = scalar_sense_round(
+                objects.population, truth, round_index=round_index,
+                reports_per_zone=16,
             )
             assert len(fv) == len(fo)
             for a, b in zip(fv, fo):
@@ -169,9 +188,12 @@ class TestPopulationBehaviour:
             fault_injector=injector,
         )
         injector2 = SensorFaultInjector()
-        injector2.attach(objects.node_name(0), StuckAt(99.0))
-        injector2.attach(objects.node_name(1), CalibrationBias(5.0))
-        frames_o = objects.sense_round(
+        injector2.attach(objects.population.node_name(0), StuckAt(99.0))
+        injector2.attach(
+            objects.population.node_name(1), CalibrationBias(5.0)
+        )
+        frames_o = scalar_sense_round(
+            objects.population,
             truth,
             round_index=0,
             reports_per_zone=200,
@@ -274,7 +296,5 @@ class TestPopulationBehaviour:
             PopulationConfig(n_nodes=10, width=10, height=10, zones_x=3)
         with pytest.raises(ValueError):
             PopulationConfig(n_nodes=10, width=8, height=8, mobility="nope")
-        with pytest.raises(ValueError):
-            PopulationConfig(n_nodes=10, width=8, height=8, engine="gpu")
         with pytest.raises(ValueError):
             PopulationConfig(n_nodes=0, width=8, height=8)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.fields.generators import smooth_field
-from repro.middleware import rounds
+from repro.middleware.broker import Broker
 from repro.middleware.localcloud import LocalCloud
 from repro.middleware.rounds import ZoneRoundDriver
 from repro.network.bus import MessageBus
@@ -142,15 +142,15 @@ class TestZoneRoundDriverOnWallClock:
         )
         solve_s = 0.12
         solved_at = []
-        real_solve = rounds.solve_pending_rounds
+        real_solve = Broker.solve_round
 
-        def slow_solve(pairs, config):
-            solved = real_solve(pairs, config)
+        def slow_solve(broker, pending):
+            solved = real_solve(broker, pending)
             time.sleep(solve_s)
             solved_at.append(clock.now)
             return solved
 
-        monkeypatch.setattr(rounds, "solve_pending_rounds", slow_solve)
+        monkeypatch.setattr(Broker, "solve_round", slow_solve)
         outcomes = []
         driver = ZoneRoundDriver(
             0, lc, env, clock, period_s=0.3, on_complete=outcomes.append,
